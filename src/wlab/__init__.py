@@ -37,7 +37,6 @@ from .covering import (
     first_hit_sets,
     intersection_sequence,
     iterated_intersection,
-    measure,
     near_level_set,
     oscillation_level_set,
     shrink_rate_bound,

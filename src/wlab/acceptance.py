@@ -207,7 +207,7 @@ def criterion_6(profile: AcceptanceProfile) -> CriterionResult:
     """Occupation L2 norm moves < 5% under bin refinement, for each seed."""
     t0 = time.time()
     spec = _weierstrass_spec()
-    order = fn_core.truncation_order(spec, fn_core.default_tolerance(spec))
+    order = fn_core.effective_order(spec)
     changes = {}
     passed = True
     for seed in range(1, profile.l2_seeds + 1):
@@ -234,7 +234,7 @@ def criterion_7(profile: AcceptanceProfile) -> CriterionResult:
     rep_line = occupation.parseval_check(dens, prof, 200.0)
 
     spec = _weierstrass_spec()
-    order = fn_core.truncation_order(spec, fn_core.default_tolerance(spec))
+    order = fn_core.effective_order(spec)
     draw = fn_core.draw_coefficients(spec, 3, order)
     sample = fn_core.sample_graph(spec, draw, profile.parseval_weier_m)
     densw = occupation.occupation_histogram(sample, 256)

@@ -13,10 +13,8 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import click
-import numpy as np
 
 from . import acceptance, covering, dimension, fn_core, occupation
 
@@ -82,7 +80,10 @@ def _thread_count(threads: int | None) -> int:
     if threads is not None:
         return max(1, threads)
     env = os.environ.get("WLAB_THREADS")
-    return max(1, int(env)) if env else 1
+    try:
+        return max(1, int(env)) if env else 1
+    except ValueError:
+        raise click.UsageError(f"WLAB_THREADS must be an integer, got {env!r}") from None
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -135,12 +136,9 @@ def gen(ctx, **kwargs):
     p = _merge_config(ctx, kwargs.pop("config"), **kwargs)
     try:
         spec = _build_spec(p["a"], p["b"], p["b_seq"], p["phases"], p["g"])
-        tol = p["tol"] if p["tol"] is not None else fn_core.default_tolerance(spec)
-        order = fn_core.truncation_order(spec, tol)
-        if spec.freq.max_order is not None:
-            order = min(order, spec.freq.max_order)
+        order = fn_core.effective_order(spec, p["tol"])
         draw = fn_core.draw_coefficients(spec, p["seed"], max(order, 1))
-        sample = fn_core.sample_graph(spec, draw, p["points"], tol)
+        sample = fn_core.sample_graph(spec, draw, p["points"], p["tol"])
     except (ValueError, TypeError) as exc:
         _fail_precondition(exc)
     if p["fmt"] == "csv":
@@ -227,12 +225,8 @@ def occ(ctx, **kwargs):
     p = _merge_config(ctx, kwargs.pop("config"), **kwargs)
     try:
         spec = _build_spec(p["a"], p["b"], p["b_seq"], p["phases"], p["g"])
-        tol = fn_core.default_tolerance(spec)
-        order = fn_core.truncation_order(spec, tol)
-        if spec.freq.max_order is not None:
-            order = min(order, spec.freq.max_order)
-        draw = fn_core.draw_coefficients(spec, p["seed"], max(order, 1))
-        sample = fn_core.sample_graph(spec, draw, p["samples"], tol)
+        draw = fn_core.draw_coefficients(spec, p["seed"], max(fn_core.effective_order(spec), 1))
+        sample = fn_core.sample_graph(spec, draw, p["samples"])
         dens = occupation.occupation_histogram(sample, p["bins"])
         du = 0.9 * math.pi / (dens.hi - dens.lo)
         profile, reached = occupation.adaptive_char_profile(

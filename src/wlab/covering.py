@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fn_core import BaseFunction, FunctionSpec, reduced_arguments
+from .fn_core import BaseFunction, FunctionSpec, fit_line, reduced_arguments, write_rows
 
 # Levels with fewer than this many grid cells per oscillation are noise.
 CELLS_PER_OSCILLATION = 4
@@ -59,15 +59,12 @@ class GridSet:
         return isinstance(other, GridSet) and np.array_equal(self.bits, other.bits)
 
     def dilate(self, steps: int = 1) -> "GridSet":
-        """Chebyshev dilation with periodic wrap (the sets are torus-periodic)."""
-        out = self.bits.copy()
+        """Chebyshev dilation with periodic wrap (the sets are torus-periodic);
+        the 3 x 3 window is separable, so each step rolls once each way per axis."""
+        out = self.bits
         for _ in range(steps):
-            grown = out.copy()
             for axis in (0, 1):
-                grown |= np.roll(out, 1, axis=axis) | np.roll(out, -1, axis=axis)
-            grown |= np.roll(np.roll(out, 1, 0), 1, 1) | np.roll(np.roll(out, 1, 0), -1, 1)
-            grown |= np.roll(np.roll(out, -1, 0), 1, 1) | np.roll(np.roll(out, -1, 0), -1, 1)
-            out = grown
+                out = out | np.roll(out, 1, axis=axis) | np.roll(out, -1, axis=axis)
         return GridSet(out)
 
     def contains_within(self, other: "GridSet", fringe: int = 1) -> bool:
@@ -86,11 +83,12 @@ class GridSet:
     def write_pbm(self, path) -> None:
         """Plain PBM (P1); rows are y top-to-bottom for visual inspection."""
         m = self.resolution
-        img = self.bits.T[::-1]  # row 0 = top of the square
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"P1\n{m} {m}\n")
-            for row in img:
-                fh.write("".join("1" if v else "0" for v in row) + "\n")
+        rows = np.full((m, m + 1), ord("\n"), dtype=np.uint8)
+        rows[:, :m] = self.bits.T[::-1]  # row 0 = top of the square
+        rows[:, :m] += ord("0")
+        with open(path, "wb") as fh:
+            fh.write(f"P1\n{m} {m}\n".encode())
+            fh.write(rows.data)
 
     @classmethod
     def full(cls, resolution: int) -> "GridSet":
@@ -99,10 +97,6 @@ class GridSet:
     @classmethod
     def empty(cls, resolution: int) -> "GridSet":
         return cls(np.zeros((resolution, resolution), dtype=bool))
-
-
-def measure(s: GridSet) -> float:
-    return s.measure()
 
 
 def cell_centers(resolution: int) -> np.ndarray:
@@ -130,7 +124,7 @@ def near_level_set(g: BaseFunction, epsilon: float, resolution: int,
         method = "factorized" if g.kind == "cos" else "generic"
     centers = cell_centers(resolution)
     if method == "generic":
-        gv = g.sample(np.mod(centers, g.period))
+        gv = g.sample(centers)
         marked = np.abs(gv[:, None] - gv[None, :]) < epsilon
     elif method == "factorized":
         if g.kind != "cos":
@@ -205,7 +199,7 @@ def _membership_index(spec: FunctionSpec, level: int, theta: float,
 
 
 def _level_cap(spec: FunctionSpec, n: int, resolution: int) -> int:
-    """Largest level <= n with at least CELLS_PER_OSCILLATION cells per wave."""
+    """Largest level <= n with at least CELLS_PER_OSCILLATION cells per wave; warns if below n."""
     cap = n
     if spec.freq.max_order is not None:
         cap = min(cap, spec.freq.max_order - 1)
@@ -213,11 +207,34 @@ def _level_cap(spec: FunctionSpec, n: int, resolution: int) -> int:
         if spec.freq.value_float(j) > resolution / CELLS_PER_OSCILLATION:
             cap = j - 1
             break
+    if cap < n:
+        warnings.warn(
+            f"capping at level {cap} of {n}: finer levels oscillate faster than "
+            f"{CELLS_PER_OSCILLATION} cells per wave at resolution {resolution}",
+            UserWarning,
+            stacklevel=3,
+        )
     return cap
 
 
-def iterated_intersection(a: GridSet, spec: FunctionSpec, phase_pairs,
-                          n: int, resolution: int | None = None) -> GridSet:
+def _intersection_levels(a: GridSet, spec: FunctionSpec, n: int, phase_pairs):
+    """Bits of the iterated intersection at levels 0..n, each a fresh array."""
+    m = a.resolution
+    centers = cell_centers(m)
+    bits = a.bits.copy()
+    yield bits
+    for j in range(1, n + 1):
+        if phase_pairs is not None and j - 1 < len(phase_pairs):
+            tx, ty = phase_pairs[j - 1]
+        else:
+            tx = ty = spec.phase(j)
+        ix = _membership_index(spec, j, float(tx), centers, m)
+        iy = _membership_index(spec, j, float(ty), centers, m)
+        bits = bits & a.bits[np.ix_(ix, iy)]
+        yield bits
+
+
+def iterated_intersection(a: GridSet, spec: FunctionSpec, phase_pairs, n: int) -> GridSet:
     """Intersection of A with its n rescaled, phase-shifted periodic copies.
 
     A cell stays marked iff its center (x, y) has, for every 1 <= j <= n,
@@ -228,26 +245,9 @@ def iterated_intersection(a: GridSet, spec: FunctionSpec, phase_pairs,
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    m = a.resolution
-    if resolution is not None and resolution != m:
-        raise ValueError(f"A is at resolution {m}, requested {resolution}")
-    if _level_cap(spec, n, m) < n:
-        warnings.warn(
-            f"levels past {_level_cap(spec, n, m)} have fewer than "
-            f"{CELLS_PER_OSCILLATION} cells per oscillation at resolution {m}",
-            UserWarning,
-            stacklevel=2,
-        )
-    centers = cell_centers(m)
-    bits = a.bits.copy()
-    for j in range(1, n + 1):
-        if phase_pairs is not None and j - 1 < len(phase_pairs):
-            tx, ty = phase_pairs[j - 1]
-        else:
-            tx = ty = spec.phase(j)
-        ix = _membership_index(spec, j, float(tx), centers, m)
-        iy = _membership_index(spec, j, float(ty), centers, m)
-        bits &= a.bits[np.ix_(ix, iy)]
+    _level_cap(spec, n, a.resolution)  # warns only; every requested level is built
+    for bits in _intersection_levels(a, spec, n, phase_pairs):
+        pass
     return GridSet(bits)
 
 
@@ -258,27 +258,8 @@ def intersection_sequence(a: GridSet, spec: FunctionSpec, n_max: int,
     Returns (sets, measures, n_effective); consecutive sets are nested by
     construction, so the measures are nonincreasing.
     """
-    m = a.resolution
-    n_eff = _level_cap(spec, n_max, m)
-    if n_eff < n_max:
-        warnings.warn(
-            f"capping n_max at {n_eff}: level {n_eff + 1} oscillates faster than "
-            f"{CELLS_PER_OSCILLATION} cells per wave at resolution {m}",
-            UserWarning,
-            stacklevel=2,
-        )
-    centers = cell_centers(m)
-    sets = [GridSet(a.bits.copy())]
-    bits = a.bits.copy()
-    for j in range(1, n_eff + 1):
-        if phase_pairs is not None and j - 1 < len(phase_pairs):
-            tx, ty = phase_pairs[j - 1]
-        else:
-            tx = ty = spec.phase(j)
-        ix = _membership_index(spec, j, float(tx), centers, m)
-        iy = _membership_index(spec, j, float(ty), centers, m)
-        bits = bits & a.bits[np.ix_(ix, iy)]
-        sets.append(GridSet(bits.copy()))
+    n_eff = _level_cap(spec, n_max, a.resolution)
+    sets = [GridSet(bits) for bits in _intersection_levels(a, spec, n_eff, phase_pairs)]
     measures = [s.measure() for s in sets]
     return sets, measures, n_eff
 
@@ -365,13 +346,7 @@ def decay_fit(measures) -> DecayFit:
             UserWarning,
             stacklevel=2,
         )
-    ns = np.arange(n_pos, dtype=np.float64)
-    logs = np.log(arr[:n_pos])
-    slope, intercept = np.polyfit(ns, logs, 1)
-    fitted = slope * ns + intercept
-    ss_res = float(np.sum((logs - fitted) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, intercept, r2 = fit_line(np.arange(n_pos), np.log(arr[:n_pos]))
     return DecayFit(rate=float(np.exp(slope)), prefactor=float(np.exp(intercept)),
                     r2=r2, n_used=n_pos)
 
@@ -409,11 +384,8 @@ class FirstHitDecomposition:
 
     def write_measures_csv(self, path) -> None:
         k = self.pair_measures.shape[0]
-        with open(path, "w", newline="\n") as fh:
-            fh.write("n0,n1,measure\n")
-            for n0 in range(k):
-                for n1 in range(n0 + 1, k):
-                    fh.write(f"{n0},{n1},{float(self.pair_measures[n0, n1])!r}\n")
+        write_rows(path, ("n0", "n1", "measure"),
+                   ((n0, n1, self.pair_measures[n0, n1]) for n0 in range(k) for n1 in range(n0 + 1, k)))
 
 
 def first_hit_sets(spec: FunctionSpec, epsilon: float, n_max: int,
@@ -423,25 +395,14 @@ def first_hit_sets(spec: FunctionSpec, epsilon: float, n_max: int,
     Levels oscillating faster than the grid can resolve are dropped and the
     effective cap reported in the result.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     m = resolution
     n_eff = _level_cap(spec, n_max, m)
-    if n_eff < n_max:
-        warnings.warn(
-            f"capping n_max at {n_eff} of {n_max}: finer levels oscillate below "
-            f"{CELLS_PER_OSCILLATION} cells per wave at resolution {m}",
-            UserWarning,
-            stacklevel=2,
-        )
-    centers = cell_centers(m)
     first = np.full((m, m), -1, dtype=np.int16)
     second = np.full((m, m), -1, dtype=np.int16)
     for n in range(n_eff + 1):
-        gv = spec.g.sample(reduced_arguments(spec, n, centers))
-        hit = np.abs(gv[:, None] - gv[None, :]) >= epsilon
+        hit = oscillation_level_set(spec, n, epsilon, m).bits
         new_first = (first < 0) & hit
         first[new_first] = n
         new_second = hit & ~new_first & (first >= 0) & (second < 0)
@@ -476,7 +437,4 @@ def first_hit_sets(spec: FunctionSpec, epsilon: float, n_max: int,
 
 def write_measures_csv(path, measures) -> None:
     """(n, measure) rows for an intersection sequence."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("n,measure\n")
-        for n, v in enumerate(measures):
-            fh.write(f"{n},{float(v)!r}\n")
+    write_rows(path, ("n", "measure"), ((n, float(v)) for n, v in enumerate(measures)))

@@ -21,12 +21,13 @@ from .fn_core import (
     CoefficientDraw,
     FunctionSpec,
     GraphSample,
-    default_tolerance,
     dimension_formula,
     draw_coefficients,
+    effective_order,
     evaluate_many,
+    fit_line,
     sample_graph,
-    truncation_order,
+    write_rows,
 )
 from .rng import substream
 
@@ -97,20 +98,8 @@ class DimensionEstimate:
         return d
 
     def write_counts_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("eps,count\n")
-            for e, c in zip(self.scales, self.counts):
-                fh.write(f"{float(e)!r},{float(c)!r}\n")
-
-
-def _fit_loglog(scales: np.ndarray, log_counts: np.ndarray):
-    x = -np.log(scales)
-    slope, intercept = np.polyfit(x, log_counts, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((log_counts - fitted) ** 2))
-    ss_tot = float(np.sum((log_counts - log_counts.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+        write_rows(path, ("eps", "count"),
+                   ((float(e), float(c)) for e, c in zip(self.scales, self.counts)))
 
 
 def _check_scales(scales) -> np.ndarray:
@@ -127,7 +116,7 @@ def box_dimension_estimate(sample: GraphSample, scales, spec: FunctionSpec | Non
     """Fit the box-counting slope of one sampled graph across the given scales."""
     arr = _check_scales(scales)
     counts = [box_count(sample, e, min_points_per_column) for e in arr]
-    slope, intercept, r2 = _fit_loglog(arr, np.log(np.asarray(counts, dtype=np.float64)))
+    slope, intercept, r2 = fit_line(-np.log(arr), np.log(np.asarray(counts, dtype=np.float64)))
     predicted = dimension_formula(spec) if spec is not None else math.nan
     return DimensionEstimate(scales=tuple(arr), counts=tuple(counts), slope=slope,
                              r2=r2, predicted_d=predicted, intercept=intercept)
@@ -149,8 +138,7 @@ def box_dimension_scan(spec: FunctionSpec, seeds, scales, m: int | None = None,
     arr = _check_scales(scales)
     if m is None:
         m = int(round(min_points_per_column / float(arr[-1]))) + 1
-    tol = default_tolerance(spec) if tol is None else tol
-    order = truncation_order(spec, tol)
+    order = effective_order(spec, tol)
 
     def one_seed(seed):
         draw = draw_coefficients(spec, seed, order)
@@ -166,8 +154,9 @@ def box_dimension_scan(spec: FunctionSpec, seeds, scales, m: int | None = None,
 
     log_counts = np.log(np.asarray(all_counts, dtype=np.float64))
     mean_logs = log_counts.mean(axis=0)
-    slope, intercept, r2 = _fit_loglog(arr, mean_logs)
-    seed_slopes = tuple(_fit_loglog(arr, row)[0] for row in log_counts)
+    x = -np.log(arr)
+    slope, intercept, r2 = fit_line(x, mean_logs)
+    seed_slopes = tuple(fit_line(x, row)[0] for row in log_counts)
     return DimensionEstimate(
         scales=tuple(arr),
         counts=tuple(np.exp(mean_logs)),  # geometric-mean counts
@@ -291,10 +280,7 @@ def energy_threshold_scan(spec: FunctionSpec, t_grid, n_pairs: int, seeds,
     if not t_grid:
         return []
     seeds = list(seeds)
-    if order is None:
-        order = truncation_order(spec, default_tolerance(spec))
-        if spec.freq.max_order is not None:
-            order = min(order, spec.freq.max_order)
+    order = effective_order(spec) if order is None else order
     nq = max(1, n_pairs // 4)
 
     d2_all = []
@@ -338,7 +324,5 @@ def energy_threshold_scan(spec: FunctionSpec, t_grid, n_pairs: int, seeds,
 
 
 def write_scan_csv(path, entries) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,value,std_error,verdict\n")
-        for e in entries:
-            fh.write(f"{float(e.t)!r},{float(e.value)!r},{float(e.std_error)!r},{e.verdict}\n")
+    write_rows(path, ("t", "value", "std_error", "verdict"),
+               ((float(e.t), float(e.value), float(e.std_error), e.verdict) for e in entries))

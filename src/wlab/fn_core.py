@@ -3,7 +3,7 @@
 The object of study is f(x) = sum_n c_n g(b_n x + theta_n) with |c_n| <= a^n
 drawn uniformly, frequencies growing at least geometrically, and g a smooth
 periodic base function.  Everything here is a pure function of (spec, seed,
-inputs); frequency arguments are reduced modulo the period with exact integer
+inputs); frequency arguments are reduced modulo 1 with exact integer
 or rational arithmetic before g is evaluated, because b_n grows geometrically
 and a naive product has no correct bits left past n ~ 50.
 """
@@ -32,19 +32,18 @@ _CONSTANT_GRID = (1 << 18) + 1
 
 @dataclass(frozen=True)
 class BaseFunction:
-    """Periodic carrier of every series term, with certified constants.
+    """1-periodic carrier of every series term, with certified constants.
 
     ``lipschitz`` and ``sup_abs`` are bounds valid on the whole line:
     |g(x) - g(y)| <= lipschitz * |x - y| and |g(x)| <= sup_abs.
     """
 
     kind: str
-    period: float
     lipschitz: float
     sup_abs: float
 
     def sample(self, t):
-        """Evaluate g at reduced arguments t in [0, period]."""
+        """Evaluate g at reduced arguments t in [0, 1]."""
         t = np.asarray(t, dtype=np.float64)
         if self.kind == "cos":
             return np.cos(TWO_PI * t)
@@ -54,7 +53,7 @@ class BaseFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
-        return self.sample(np.mod(x, self.period))
+        return self.sample(np.mod(x, 1.0))
 
 
 def _certified_sup(values: np.ndarray) -> float:
@@ -72,7 +71,7 @@ def _build_base_function(kind: str) -> BaseFunction:
         sup_abs = 1.5
     else:
         raise ValueError(f"unknown base function kind {kind!r}")
-    return BaseFunction(kind=kind, period=1.0, lipschitz=_certified_sup(deriv), sup_abs=sup_abs)
+    return BaseFunction(kind=kind, lipschitz=_certified_sup(deriv), sup_abs=sup_abs)
 
 
 COS = _build_base_function("cos")
@@ -212,6 +211,7 @@ class FunctionSpec:
     def to_dict(self) -> dict:
         d = {
             "a": self.a,
+            "b": self.freq.b,
             "g": self.g.kind,
             "phases": list(self.phases),
             "ab_gt1": self.ab_gt1,
@@ -220,10 +220,8 @@ class FunctionSpec:
         }
         if isinstance(self.freq, GeometricFrequencies):
             d["freq_mode"] = "geometric"
-            d["b"] = self.freq.b
         else:
             d["freq_mode"] = "explicit"
-            d["b"] = self.freq.b
             d["b_seq"] = list(self.freq.b_seq)
         return d
 
@@ -313,6 +311,13 @@ def default_tolerance(spec: FunctionSpec) -> float:
     return 1e-9 * spec.g.sup_abs / (1.0 - spec.a)
 
 
+def effective_order(spec: FunctionSpec, tol: float | None = None) -> int:
+    """Truncation order for tol (default: default_tolerance), capped at freq.max_order."""
+    order = truncation_order(spec, default_tolerance(spec) if tol is None else tol)
+    max_order = spec.freq.max_order
+    return order if max_order is None else min(order, max_order)
+
+
 def tail_bound(spec: FunctionSpec, order: int) -> float:
     """Guaranteed |f - f_truncated| bound after keeping ``order`` terms."""
     return spec.g.sup_abs * spec.a ** order / (1.0 - spec.a)
@@ -342,34 +347,34 @@ def _scaled_bits(r: np.ndarray):
     return bits, ok
 
 
-def _reduce_rational_scalar(bn, x: float, theta: float, period: float) -> float:
-    """(bn*x + theta) mod period with exact rational arithmetic, then one rounding."""
-    t = (Fraction(bn) * Fraction(x) + Fraction(theta)) % Fraction(period)
-    out = float(t)
-    if out >= period:  # the single final rounding can land on the boundary
-        out -= period
+def _reduce_rational_scalar(bn, x: float, theta: float) -> float:
+    """(bn*x + theta) mod 1 with exact rational arithmetic, then one rounding."""
+    out = float((Fraction(bn) * Fraction(x) + Fraction(theta)) % 1)
+    if out >= 1.0:  # the single final rounding can land on the boundary
+        out -= 1.0
     return out
 
 
 def reduced_arguments(spec: FunctionSpec, n: int, xs, theta: float | None = None) -> np.ndarray:
-    """((b_n x + theta_n) mod period) for an array of x, reduced exactly.
+    """((b_n x + theta_n) mod 1) for an array of x, reduced exactly.
 
-    Integer frequencies with unit period take a vectorized fixed-point path
-    (wrapping 64-bit products); everything else goes through Fractions.
+    Integer frequencies take a vectorized fixed-point path (wrapping 64-bit
+    products); everything else goes through Fractions.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     theta = spec.phase(n) if theta is None else float(theta)
-    period = spec.g.period
     bn = spec.freq.value(n)
 
-    if period == 1.0 and isinstance(bn, int):
+    if isinstance(bn, int):
         r = xs - np.floor(xs)
         bits, ok = _scaled_bits(r)
+        if (xs < 0.0).any():  # for -1 < x < 0, x - floor(x) = 1 + x can round
+            ok &= ~((xs > -1.0) & (xs < 0.0) & (r - 1.0 != xs))
         bmod = np.uint64(bn % _MOD63)
         frac = ((bmod * bits) & _MASK63).astype(np.float64) * _INV63
         if not ok.all():
             for i in np.nonzero(~ok)[0]:
-                frac[i] = _reduce_rational_scalar(bn, float(r[i]), 0.0, 1.0)
+                frac[i] = _reduce_rational_scalar(bn, float(xs[i]), 0.0)
         if theta != 0.0:
             frac = frac + (theta - math.floor(theta))
             frac -= np.floor(frac)
@@ -377,7 +382,7 @@ def reduced_arguments(spec: FunctionSpec, n: int, xs, theta: float | None = None
 
     out = np.empty_like(xs)
     for i, x in enumerate(xs.ravel()):
-        out.ravel()[i] = _reduce_rational_scalar(bn, float(x), theta, period)
+        out.ravel()[i] = _reduce_rational_scalar(bn, float(x), theta)
     return out
 
 
@@ -427,10 +432,7 @@ class GraphSample:
         return len(self.xs)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("x,y\n")
-            for x, y in zip(self.xs, self.ys):
-                fh.write(f"{float(x)!r},{float(y)!r}\n")
+        write_rows(path, ("x", "y"), zip(self.xs, self.ys))
 
     def to_json_dict(self, spec: FunctionSpec | None = None, seed: int | None = None) -> dict:
         d = {
@@ -452,15 +454,9 @@ def sample_graph(spec: FunctionSpec, draw: CoefficientDraw, m: int,
     """Sample f on the uniform m-point grid over [0, 1]."""
     if m < 2:
         raise ValueError(f"need at least 2 sample points, got {m}")
-    tol = default_tolerance(spec) if tol is None else tol
-    order = truncation_order(spec, tol)
-    max_order = spec.freq.max_order
-    if max_order is not None:
-        order = min(order, max_order)
+    order = effective_order(spec, tol)
     if order > draw.order:
-        raise ValueError(
-            f"draw has {draw.order} coefficients but tolerance {tol:g} needs {order}"
-        )
+        raise ValueError(f"draw has {draw.order} coefficients but the tolerance needs {order}")
     xs = np.linspace(0.0, 1.0, m)
     ys = evaluate_many(spec, draw, xs, order)
     return GraphSample(xs=xs, ys=ys, truncation_order=order,
@@ -476,3 +472,30 @@ def dimension_formula(spec: FunctionSpec) -> float:
             stacklevel=2,
         )
     return 2.0 + math.log(spec.a) / math.log(spec.freq.b)
+
+
+# ---------------------------------------------------------------------------
+# shared output and fitting helpers
+# ---------------------------------------------------------------------------
+
+def write_rows(path, header, rows) -> None:
+    """CSV with a header row and \n line endings; floats in shortest round-trip form.
+
+    Floats (numpy's included) are written as repr(float(v)), everything else
+    as str(v), so ints carry no ".0" and strings go out verbatim.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                              for v in row) + "\n")
+
+
+def fit_line(x, y):
+    """Least-squares line y ~ slope * x + intercept of two arrays: (slope, intercept, r2)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(slope), float(intercept), r2

@@ -18,9 +18,9 @@ import numpy as np
 from .fn_core import (
     FunctionSpec,
     GraphSample,
-    default_tolerance,
+    effective_order,
     reduced_arguments,
-    truncation_order,
+    write_rows,
 )
 from .rng import substream
 
@@ -52,10 +52,7 @@ class OccupationDensity:
         return self.lo + (np.arange(self.bins) + 0.5) * self.bin_width
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("bin_center,density\n")
-            for c, w in zip(self.bin_centers(), self.weights):
-                fh.write(f"{float(c)!r},{float(w)!r}\n")
+        write_rows(path, ("bin_center", "density"), zip(self.bin_centers(), self.weights))
 
 
 def occupation_histogram(sample: GraphSample, bins: int) -> OccupationDensity:
@@ -105,10 +102,8 @@ class FourierProfile:
         return np.abs(self.values) ** 2
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("u,re,im,abs2\n")
-            for u, v in zip(self.us, self.values):
-                fh.write(f"{float(u)!r},{float(v.real)!r},{float(v.imag)!r},{float(v.real**2 + v.imag**2)!r}\n")
+        write_rows(path, ("u", "re", "im", "abs2"),
+                   ((u, v.real, v.imag, v.real**2 + v.imag**2) for u, v in zip(self.us, self.values)))
 
 
 def fourier_transform(sample: GraphSample, us) -> FourierProfile:
@@ -125,6 +120,21 @@ def fourier_transform(sample: GraphSample, us) -> FourierProfile:
     return FourierProfile(us=us, values=values, quadrature_points=len(ys))
 
 
+def _extend(z: np.ndarray, w: np.ndarray, pos: list, steps: int) -> None:
+    """Advance z = exp(i k du y) by one factor w per step, appending mean(z) each time."""
+    for _ in range(steps):
+        z *= w
+        pos.append(z.mean())
+
+
+def _symmetric_profile(pos: list, du: float, quadrature_points: int) -> FourierProfile:
+    """Profile on u = -K du..K du from its K positive values; mu_hat(-u) = conj(mu_hat(u))."""
+    pos = np.asarray(pos, dtype=np.complex128)
+    us = du * np.arange(-len(pos), len(pos) + 1)
+    values = np.concatenate([np.conj(pos[::-1]), [1.0 + 0.0j], pos])
+    return FourierProfile(us=us, values=values, quadrature_points=quadrature_points)
+
+
 def char_function_profile(sample: GraphSample, du: float, u_max: float) -> FourierProfile:
     """Symmetric uniform-grid profile via the recurrence exp(i k du y) = z^k.
 
@@ -135,16 +145,10 @@ def char_function_profile(sample: GraphSample, du: float, u_max: float) -> Fouri
     if not du > 0.0 or not u_max > 0.0:
         raise ValueError("du and u_max must be positive")
     n_steps = int(math.ceil(u_max / du - 1e-12))
-    ys = sample.ys
-    w = np.exp(1j * du * ys)
-    z = np.ones_like(w)
-    pos = np.empty(n_steps, dtype=np.complex128)
-    for k in range(n_steps):
-        z *= w
-        pos[k] = z.mean()
-    us = du * np.arange(-n_steps, n_steps + 1)
-    values = np.concatenate([np.conj(pos[::-1]), [1.0 + 0.0j], pos])
-    return FourierProfile(us=us, values=values, quadrature_points=len(ys))
+    w = np.exp(1j * du * sample.ys)
+    pos = []
+    _extend(np.ones_like(w), w, pos, n_steps)
+    return _symmetric_profile(pos, du, len(sample.ys))
 
 
 def adaptive_char_profile(sample: GraphSample, du: float, decay_target: float = 1e-4,
@@ -155,30 +159,15 @@ def adaptive_char_profile(sample: GraphSample, du: float, decay_target: float = 
     with the tail still above the target.
     """
     n_steps = int(math.ceil(u_start / du))
-    ys = sample.ys
-    w = np.exp(1j * du * ys)
+    w = np.exp(1j * du * sample.ys)
     z = np.ones_like(w)
     pos = []
-    for _ in range(n_steps):
-        z *= w
-        pos.append(z.mean())
-    reached = False
-    while True:
-        u_now = len(pos) * du
-        half = len(pos) // 2
-        tail_max = max(abs(v) ** 2 for v in pos[half:])
-        if tail_max < decay_target:
-            reached = True
-            break
-        if u_now >= u_cap:
-            break
-        for _ in range(len(pos)):  # double the range
-            z *= w
-            pos.append(z.mean())
-    pos = np.asarray(pos, dtype=np.complex128)
-    us = du * np.arange(-len(pos), len(pos) + 1)
-    values = np.concatenate([np.conj(pos[::-1]), [1.0 + 0.0j], pos])
-    return FourierProfile(us=us, values=values, quadrature_points=len(ys)), reached
+    _extend(z, w, pos, n_steps)
+    while not max(abs(v) ** 2 for v in pos[len(pos) // 2:]) < decay_target:
+        if len(pos) * du >= u_cap:
+            return _symmetric_profile(pos, du, len(sample.ys)), False
+        _extend(z, w, pos, len(pos))  # double the range
+    return _symmetric_profile(pos, du, len(sample.ys)), True
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +274,10 @@ class SincFactors:
 
 def increment_half_widths(spec: FunctionSpec, x: float, y: float, order: int) -> np.ndarray:
     """a^n (g(b_n x + th_n) - g(b_n y + th_n)) for n < order."""
+    xy = np.asarray([x, y], dtype=np.float64)
     out = np.empty(order, dtype=np.float64)
     for n in range(order):
-        gx = float(spec.g.sample(reduced_arguments(spec, n, np.asarray([x])))[0])
-        gy = float(spec.g.sample(reduced_arguments(spec, n, np.asarray([y])))[0])
+        gx, gy = spec.g.sample(reduced_arguments(spec, n, xy))
         out[n] = spec.a ** n * (gx - gy)
     return out
 
@@ -333,10 +322,7 @@ def char_function_mc(spec: FunctionSpec, x: float, y: float, u: float,
     """
     if n_draws < 1000:
         raise ValueError(f"need >= 1000 draws, got {n_draws}")
-    if order is None:
-        order = truncation_order(spec, default_tolerance(spec))
-        if spec.freq.max_order is not None:
-            order = min(order, spec.freq.max_order)
+    order = effective_order(spec) if order is None else order
     hw = increment_half_widths(spec, x, y, order)  # f(x)-f(y) = sum s_n hw_n, s_n ~ U(-1,1)
     cos_sum = 0.0
     cos_sq = 0.0

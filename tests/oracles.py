@@ -48,6 +48,17 @@ def brute_near_level_bits(g_callable, eps, resolution):
     return dil
 
 
+def brute_dilate_bits(bits, steps):
+    """Cells with a marked cell in their (2 steps + 1)^2 periodic window, by plain loops."""
+    m = bits.shape[0]
+    window = range(-steps, steps + 1)
+    out = np.zeros_like(bits)
+    for i in range(m):
+        for j in range(m):
+            out[i, j] = any(bits[(i + dx) % m, (j + dy) % m] for dx in window for dy in window)
+    return out
+
+
 def brute_iterated_bits(a_bits, frequencies, phase_pairs, n):
     """Per-cell loop over membership of the rescaled points in a_bits."""
     m = a_bits.shape[0]

@@ -175,6 +175,13 @@ def test_verify_all_reports_byte_identical(runner, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_threads_env_not_an_integer_is_a_usage_error(runner, tmp_path):
+    r = runner.invoke(main, ["boxdim", "--output", str(tmp_path / "box.json")],
+                      env={"WLAB_THREADS": "abc"})
+    assert r.exit_code == 2, r.output
+    assert "WLAB_THREADS" in r.output
+
+
 def test_threads_env_fallback(runner, tmp_path):
     out = tmp_path / "box.json"
     r = runner.invoke(main, [

@@ -16,7 +16,6 @@ from wlab.covering import (
     first_hit_sets,
     intersection_sequence,
     iterated_intersection,
-    measure,
     near_level_set,
     oscillation_level_set,
     shrink_rate_bound,
@@ -67,6 +66,23 @@ def test_pbm_round_trip(tmp_path):
     assert lines[1] == "16 16"
     img = np.array([[c == "1" for c in row] for row in lines[2:]])
     assert np.array_equal(img, s.bits.T[::-1])
+
+
+def test_pbm_orientation(tmp_path):
+    # bits[i, j] is x-cell i, y-cell j; PBM rows run from the top y row down
+    bits = np.zeros((3, 3), dtype=bool)
+    bits[0, 0] = bits[1, 0] = bits[0, 2] = bits[2, 1] = True
+    path = tmp_path / "set.pbm"
+    GridSet(bits).write_pbm(path)
+    assert path.read_bytes() == b"P1\n3 3\n100\n001\n110\n"
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_dilate_matches_periodic_window(steps):
+    bits = substream(6, "dilate").random((16, 16)) < 0.04
+    bits[0, 15] = bits[15, 0] = True  # exercise the wrap on both axes
+    ours = GridSet(bits).dilate(steps).bits
+    assert np.array_equal(ours, oracles.brute_dilate_bits(bits, steps))
 
 
 def test_sample_cell_centers_land_in_marked_cells():
@@ -417,10 +433,6 @@ def test_first_hit_measures_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "n0,n1,measure"
     assert len(lines) == 1 + 3 + 2 + 1  # pairs (0,1..3), (1,2..3), (2,3)
-
-
-def test_measure_function_alias():
-    assert measure(GridSet.full(8)) == 1.0
 
 
 def test_explicit_sequence_caps_at_available_levels():

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wlab import fn_core
@@ -35,7 +36,7 @@ class TestBaseFunction:
     def test_periodicity(self, g):
         xs = np.linspace(-3.0, 3.0, 10_001)
         a = g(xs)
-        b = g(xs + g.period)
+        b = g(xs + 1.0)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_lipschitz_on_grid(self, g):
@@ -265,6 +266,21 @@ def test_periodicity_bit_stable_for_integer_b():
         assert evaluate(spec, draw, x, 60) == evaluate(spec, draw, x + 1.0, 60)
 
 
+@given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+       b=st.sampled_from([2, 3, 5]),
+       n=st.integers(min_value=0, max_value=96))
+@settings(max_examples=300, deadline=None)
+@example(xs=[-1e-20, -1e-9, -0.3, -5e-324, 5e-324, -2.5], b=3, n=1)
+@example(xs=[-1e-20, 0.25, 1e-300, -7.125, 3.0e15], b=2, n=96)
+def test_reduction_exact_for_every_finite_x(xs, b, n):
+    # negative, |x| > 1 and subnormal x all reduce to the exact (b^n x) mod 1
+    spec = build_spec(0.9, geometric(b))
+    got = fn_core.reduced_arguments(spec, n, xs)
+    for x, r in zip(xs, got):
+        want = float((Fraction(b) ** n * Fraction(x)) % 1)
+        assert r % 1.0 == want % 1.0, (x, r, want)
+
+
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),
        order=st.integers(min_value=1, max_value=40),
        x=st.floats(min_value=0.0, max_value=1.0))
@@ -374,3 +390,34 @@ def test_dimension_formula_warns_outside_hypotheses():
 def test_default_tolerance_scale():
     spec = build_spec(0.8, geometric(2.0))
     assert default_tolerance(spec) == pytest.approx(5e-9)
+
+
+# ---------------------------------------------------------------------------
+# shared helpers
+# ---------------------------------------------------------------------------
+
+def test_write_rows_formats_each_type(tmp_path):
+    path = tmp_path / "rows.csv"
+    fn_core.write_rows(path, ("v", "k", "s"), [
+        (np.float64(0.1), 3, "stable"),
+        (np.float64(1.0) / 3.0, np.int64(7), "diverging"),
+        (2.0, 0, "None"),
+    ])
+    assert path.read_bytes() == (
+        b"v,k,s\n0.1,3,stable\n0.3333333333333333,7,diverging\n2.0,0,None\n"
+    )
+
+
+def test_fit_line_exact_and_noisy():
+    slope, intercept, r2 = fn_core.fit_line(np.arange(5.0), 3.0 * np.arange(5.0) - 1.0)
+    assert (slope, intercept, r2) == (pytest.approx(3.0), pytest.approx(-1.0), pytest.approx(1.0))
+    _, _, r2 = fn_core.fit_line(np.arange(4.0), np.array([0.0, 1.0, 0.0, 1.0]))
+    assert 0.0 <= r2 < 1.0
+
+
+def test_effective_order_caps_at_explicit_frequencies():
+    spec = build_spec(0.8, explicit([1, 2, 4, 8], 2.0))
+    assert fn_core.effective_order(spec) == 4
+    geo = build_spec(0.8, geometric(2.0))
+    assert fn_core.effective_order(geo) == truncation_order(geo, default_tolerance(geo))
+    assert fn_core.effective_order(geo, 1e-3) == truncation_order(geo, 1e-3)

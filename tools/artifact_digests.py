@@ -1,0 +1,77 @@
+"""Print a SHA-256 digest of every artifact wlab writes, for byte-identity checks.
+
+Runs each CLI command at its defaults (plus a non-integer b, an explicit
+frequency sequence with phases, and a phased cover) into a temporary
+directory, then calls the two writers only the library reaches.  Prints one
+``sha256 path`` line per artifact, paths relative to that directory, so two
+source trees can be compared with ``diff``.  Run it from a checkout's root:
+
+    PYTHONPATH=src python3 tools/artifact_digests.py
+
+To compare two trees, run this same script file from each tree's root and
+diff the outputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+from pathlib import Path
+
+from wlab import cli, covering, fn_core, occupation
+
+B_SEQ = "1,2.5,6.25,16,40,100,250,625,1600,4000"
+PHASES = "0.1,0.25,0.4,0.7,0.05,0.9"
+
+RUNS = [
+    ["gen", "--output", "gen.csv"],
+    ["gen", "--format", "json", "--output", "gen.json"],
+    ["gen", "--b", "2.5", "--output", "gen_b2.5.csv"],
+    ["gen", "--g", "cos2", "--b-seq", B_SEQ, "--b", "2.5", "--phases", PHASES,
+     "--output", "gen_bseq.csv"],
+    ["boxdim", "--output", "boxdim.json"],
+    ["energy", "--output", "energy.csv"],
+    ["occ", "--output", "density.csv"],
+    ["cover", "--pbm", "--output", "cover.csv"],
+    ["cover", "--phases", PHASES, "--output", "cover_phases.csv"],
+    ["verify-all", "--profile", "desk", "--report", "verify.json"],
+]
+
+
+def run_cli(args) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            cli.main.main(args=args, prog_name="wlab", standalone_mode=False)
+        except SystemExit as exc:
+            if exc.code not in (0, None):
+                raise RuntimeError(f"wlab {' '.join(args)} exited {exc.code}") from None
+
+
+def library_writers(out: Path) -> None:
+    spec = fn_core.build_spec(0.8, fn_core.geometric(2.0))
+    covering.first_hit_sets(spec, 0.05, 6, 512).write_measures_csv(out / "first_hit.csv")
+    order = fn_core.truncation_order(spec, fn_core.default_tolerance(spec))
+    sample = fn_core.sample_graph(spec, fn_core.draw_coefficients(spec, 3, order), 1 << 15)
+    occupation.char_function_profile(sample, du=0.5, u_max=64.0).write_csv(out / "profile.csv")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        cwd = os.getcwd()
+        os.chdir(out)
+        try:
+            for args in RUNS:
+                run_cli(args)
+            library_writers(out)
+        finally:
+            os.chdir(cwd)
+        for path in sorted(out.iterdir()):
+            print(hashlib.sha256(path.read_bytes()).hexdigest(), path.name)
+
+
+if __name__ == "__main__":
+    main()
