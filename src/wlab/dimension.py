@@ -208,6 +208,8 @@ def _pair_distances_sq(spec: FunctionSpec, draw: CoefficientDraw, order: int,
             n_eq = int(equal.sum())
             x[equal] = gen.random(n_eq)
             y[equal] = gen.random(n_eq)
+        else:
+            raise RuntimeError(f"x == y after 100 redraws in chunk {chunk_idx} of seed {seed}")
         fx = evaluate_many(spec, draw, x, order)
         fy = evaluate_many(spec, draw, y, order)
         out[done:done + k] = (x - y) ** 2 + (fx - fy) ** 2

@@ -3,9 +3,11 @@
 The object of study is f(x) = sum_n c_n g(b_n x + theta_n) with |c_n| <= a^n
 drawn uniformly, frequencies growing at least geometrically, and g a smooth
 periodic base function.  Everything here is a pure function of (spec, seed,
-inputs); frequency arguments are reduced modulo 1 with exact integer
-or rational arithmetic before g is evaluated, because b_n grows geometrically
-and a naive product has no correct bits left past n ~ 50.
+inputs).  Every float b_n, theta_n and x is dyadic, so one integer rule
+reduces b_n x + theta_n modulo 1 for every spec: the phase is added exactly
+and the result is rounded to float once, before g is evaluated.  A float
+product would have no correct bits left past n ~ 50, since b_n grows
+geometrically.
 """
 
 from __future__ import annotations
@@ -148,19 +150,18 @@ class ExplicitFrequencies:
                 )
 
     @property
-    def is_integer(self) -> bool:
-        return all(v.is_integer() for v in self.b_seq)
-
-    @property
     def max_order(self) -> int:
         return len(self.b_seq)
 
     def value(self, n: int):
+        """Exact b_n (int or Fraction); ValueError past the explicit frequencies."""
+        if not 0 <= n < len(self.b_seq):
+            raise ValueError(f"level {n} is past the {len(self.b_seq)} explicit frequencies")
         v = self.b_seq[n]
         return int(v) if v.is_integer() else Fraction(v)
 
     def value_float(self, n: int) -> float:
-        return self.b_seq[n]
+        return float(self.value(n))
 
 
 def geometric(b: float) -> GeometricFrequencies:
@@ -327,63 +328,49 @@ def tail_bound(spec: FunctionSpec, order: int) -> float:
 # exact argument reduction
 # ---------------------------------------------------------------------------
 
-_MASK63 = np.uint64((1 << 63) - 1)
-_MOD63 = 1 << 63
-_INV63 = 2.0 ** -63
-_TWO53 = 9007199254740992.0  # 2^53
+_BITS = 63  # fraction bits of the uint64 lane
+_MASK = (1 << _BITS) - 1
 
 
-def _scaled_bits(r: np.ndarray):
-    """Represent r in [0, 1) as the integer r * 2^63 where that is exact.
-
-    Exact whenever r == 0 or r >= 2^-11 (the float's lowest set bit is then at
-    2^-63 or above); the returned mask flags the stragglers.
-    """
-    mant, exp = np.frexp(r)
-    m53 = (mant * _TWO53).astype(np.uint64)  # mant * 2^53 is an exact integer
-    shift = exp + 10
-    ok = shift >= 0
-    bits = m53 << np.clip(shift, 0, 10).astype(np.uint64)
-    return bits, ok
-
-
-def _reduce_rational_scalar(bn, x: float, theta: float) -> float:
-    """(bn*x + theta) mod 1 with exact rational arithmetic, then one rounding."""
-    out = float((Fraction(bn) * Fraction(x) + Fraction(theta)) % 1)
-    if out >= 1.0:  # the single final rounding can land on the boundary
-        out -= 1.0
-    return out
+def _wide_lane(m, e, b_num: int, k: int, t_num: int, kt: int) -> np.ndarray:
+    """The reduction rule on Python ints, with S = max(k - e, kt) fraction bits per point."""
+    s = np.maximum(k - e.astype(np.int64), kt)
+    num = m.astype(object) * b_num << (s - k + e).astype(object)
+    num += t_num << (s - kt).astype(object)
+    den = 1 << s.astype(object)
+    return ((num % den) / den).astype(np.float64)  # int / int rounds once
 
 
 def reduced_arguments(spec: FunctionSpec, n: int, xs, theta: float | None = None) -> np.ndarray:
-    """((b_n x + theta_n) mod 1) for an array of x, reduced exactly.
+    """((b_n x + theta_n) mod 1) for an array of x, exact for every finite x, rounded once.
 
-    Integer frequencies take a vectorized fixed-point path (wrapping 64-bit
-    products); everything else goes through Fractions.
+    theta defaults to the spec's phase for level n; the result lies in [0, 1).
+    With b_n = B / 2^k, theta = T / 2^kt and x = M 2^e (every float is
+    dyadic), the result is ((B X + T') mod 2^S) / 2^S for integers X and T'
+    on S fraction bits, rounded once; a result that rounds to 1.0 is 0.0.
+    Points whose X fits S = 63 bits (e >= k - 63, kt <= 63) take a wrapping
+    uint64 lane; the rest take the same rule on Python ints.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    theta = spec.phase(n) if theta is None else float(theta)
-    bn = spec.freq.value(n)
-
-    if isinstance(bn, int):
-        r = xs - np.floor(xs)
-        bits, ok = _scaled_bits(r)
-        if (xs < 0.0).any():  # for -1 < x < 0, x - floor(x) = 1 + x can round
-            ok &= ~((xs > -1.0) & (xs < 0.0) & (r - 1.0 != xs))
-        bmod = np.uint64(bn % _MOD63)
-        frac = ((bmod * bits) & _MASK63).astype(np.float64) * _INV63
-        if not ok.all():
-            for i in np.nonzero(~ok)[0]:
-                frac[i] = _reduce_rational_scalar(bn, float(xs[i]), 0.0)
-        if theta != 0.0:
-            frac = frac + (theta - math.floor(theta))
-            frac -= np.floor(frac)
-        return frac
-
-    out = np.empty_like(xs)
-    for i, x in enumerate(xs.ravel()):
-        out.ravel()[i] = _reduce_rational_scalar(bn, float(x), theta)
-    return out
+    b_num, b_den = spec.freq.value(n).as_integer_ratio()
+    t_num, t_den = (spec.phase(n) if theta is None else float(theta)).as_integer_ratio()
+    k, kt = b_den.bit_length() - 1, t_den.bit_length() - 1
+    m, e = np.frexp(xs)
+    m = (m * 2.0 ** 53).astype(np.int64)  # x = m 2^e exactly, |m| < 2^53
+    e -= 53
+    if kt > _BITS:
+        t = _wide_lane(m, e, b_num, k, t_num, kt)
+    else:  # X = m 2^(e + 63 - k) mod 2^63, in place
+        u = m.view(np.uint64) << np.clip(e + (_BITS - k), 0, _BITS).astype(np.uint64)
+        u *= np.uint64(b_num & _MASK)
+        u += np.uint64((t_num << (_BITS - kt)) & _MASK)
+        u &= np.uint64(_MASK)
+        t = u * 2.0 ** -_BITS
+        wide = e < k - _BITS
+        if wide.any():
+            t[wide] = _wide_lane(m[wide], e[wide], b_num, k, t_num, kt)
+    t[t == 1.0] = 0.0
+    return t
 
 
 # ---------------------------------------------------------------------------

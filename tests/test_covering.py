@@ -444,3 +444,19 @@ def test_explicit_sequence_caps_at_available_levels():
         _, measures, n_eff = intersection_sequence(a, spec, 10)
     assert n_eff == 4  # only 5 frequencies exist
     assert len(measures) == 5
+
+
+def test_levels_past_explicit_frequencies_are_value_errors():
+    from wlab.dimension import geometric_scales
+    from wlab.fn_core import explicit
+    from wlab.occupation import sinc_product
+
+    spec = build_spec(0.75, explicit([1, 2, 4, 8, 16], 2.0))
+    a = near_level_set(COS, 0.1, 64, method="generic")
+    with pytest.warns(UserWarning, match="capping"), \
+            pytest.raises(ValueError, match="5 explicit frequencies"):
+        iterated_intersection(a, spec, None, 6)
+    with pytest.raises(ValueError, match="5 explicit frequencies"):
+        sinc_product(spec, 0.1, 0.3, 1.0, 7)
+    with pytest.raises(ValueError, match="5 explicit frequencies"):
+        geometric_scales(spec, 1, 6)

@@ -206,6 +206,19 @@ def test_energy_deterministic():
     assert a == b
 
 
+def test_pair_redraw_gives_up_loudly(monkeypatch):
+    from wlab import dimension
+
+    class Zeros:
+        def random(self, k):
+            return np.zeros(k)
+
+    monkeypatch.setattr(dimension, "substream", lambda *key: Zeros())
+    spec = build_spec(0.8, geometric(2.0))
+    with pytest.raises(RuntimeError, match="after 100 redraws"):
+        energy_estimate(spec, zero_draw(), 0.5, 1000, seed=1)
+
+
 def test_energy_validation():
     spec = build_spec(0.8, geometric(2.0))
     with pytest.raises(ValueError):

@@ -266,19 +266,38 @@ def test_periodicity_bit_stable_for_integer_b():
         assert evaluate(spec, draw, x, 60) == evaluate(spec, draw, x + 1.0, 60)
 
 
+def _mixed_b_seq(length):
+    # ratios alternate 2.5 and 2: 1, 2.5, 5, 12.5, 25, ..., so integer and
+    # half-integer b_n interleave until the half-integers pass 2^53
+    seq = [1.0]
+    for n in range(length - 1):
+        seq.append(seq[-1] * (2.5 if n % 2 == 0 else 2.0))
+    return seq
+
+
+_REDUCTION_FREQS = [geometric(b) for b in (2, 3, 5, 2.5, 1.25)] + [explicit(_mixed_b_seq(97), 2.0)]
+
+
 @given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
-       b=st.sampled_from([2, 3, 5]),
-       n=st.integers(min_value=0, max_value=96))
-@settings(max_examples=300, deadline=None)
-@example(xs=[-1e-20, -1e-9, -0.3, -5e-324, 5e-324, -2.5], b=3, n=1)
-@example(xs=[-1e-20, 0.25, 1e-300, -7.125, 3.0e15], b=2, n=96)
-def test_reduction_exact_for_every_finite_x(xs, b, n):
-    # negative, |x| > 1 and subnormal x all reduce to the exact (b^n x) mod 1
-    spec = build_spec(0.9, geometric(b))
-    got = fn_core.reduced_arguments(spec, n, xs)
+       freq=st.sampled_from(_REDUCTION_FREQS),
+       n=st.integers(min_value=0, max_value=96),
+       theta=st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False)))
+@settings(max_examples=500, deadline=None)
+@example(xs=[-1e-20, -1e-9, -0.3, -5e-324, 5e-324, -2.5], freq=geometric(3), n=1, theta=0.0)
+@example(xs=[-1e-20, 0.25, 1e-300, -7.125, 3.0e15], freq=geometric(2), n=96, theta=0.0)
+@example(xs=[0.6369616873214543], freq=geometric(3), n=5, theta=0.37)
+@example(xs=[0.3, -1e-300, 1e308], freq=geometric(2.5), n=96, theta=-1e-30)
+@example(xs=[0.6369616873214543, -0.3, 1e-300], freq=_REDUCTION_FREQS[-1], n=3, theta=0.37)
+@example(xs=[0.6369616873214543, -7.125, 5e-324], freq=_REDUCTION_FREQS[-1], n=4, theta=-5.5)
+def test_reduction_exact_for_every_finite_x(xs, freq, n, theta):
+    # negative, |x| > 1 and subnormal x, non-integer b_n and any finite phase
+    # all reduce to the exact (b_n x + theta) mod 1, rounded once, in [0, 1)
+    spec = build_spec(0.9, freq)
+    got = fn_core.reduced_arguments(spec, n, xs, theta=theta)
+    b = Fraction(freq.b) ** n if freq.max_order is None else Fraction(freq.b_seq[n])
     for x, r in zip(xs, got):
-        want = float((Fraction(b) ** n * Fraction(x)) % 1)
-        assert r % 1.0 == want % 1.0, (x, r, want)
+        want = float((b * Fraction(x) + Fraction(theta)) % 1)
+        assert r == want % 1.0, (x, r, want)
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),

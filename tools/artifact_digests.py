@@ -1,10 +1,11 @@
 """Print a SHA-256 digest of every artifact wlab writes, for byte-identity checks.
 
 Runs each CLI command at its defaults (plus a non-integer b, an explicit
-frequency sequence with phases, and a phased cover) into a temporary
-directory, then calls the two writers only the library reaches.  Prints one
-``sha256 path`` line per artifact, paths relative to that directory, so two
-source trees can be compared with ``diff``.  Run it from a checkout's root:
+frequency sequence with phases, a phased gen on integer b and a phased
+cover) into a temporary directory, then calls the two writers only the
+library reaches.  Prints one ``sha256 path`` line per artifact, paths
+relative to that directory, so two source trees can be compared with
+``diff``.  Run it from a checkout's root:
 
     PYTHONPATH=src python3 tools/artifact_digests.py
 
@@ -32,6 +33,7 @@ RUNS = [
     ["gen", "--b", "2.5", "--output", "gen_b2.5.csv"],
     ["gen", "--g", "cos2", "--b-seq", B_SEQ, "--b", "2.5", "--phases", PHASES,
      "--output", "gen_bseq.csv"],
+    ["gen", "--phases", PHASES, "--output", "gen_phases.csv"],
     ["boxdim", "--output", "boxdim.json"],
     ["energy", "--output", "energy.csv"],
     ["occ", "--output", "density.csv"],
