@@ -36,7 +36,6 @@ from .covering import (
     decay_fit,
     first_hit_sets,
     intersection_sequence,
-    iterated_intersection,
     near_level_set,
     oscillation_level_set,
     shrink_rate_bound,

@@ -76,16 +76,6 @@ def _build_spec(a: float, b: float, b_seq: str | None, phases: str | None,
     return fn_core.build_spec(a, freq, phases=phase_tuple, g=base)
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("WLAB_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        raise click.UsageError(f"WLAB_THREADS must be an integer, got {env!r}") from None
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -108,8 +98,8 @@ def spec_options(fn):
 
 
 def common_options(fn):
-    fn = click.option("--threads", type=int, default=None,
-                      help="Worker cap (default: WLAB_THREADS or 1).")(fn)
+    fn = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+                      envvar="WLAB_THREADS", show_envvar=True, help="Worker cap.")(fn)
     fn = click.option("--config", type=click.Path(), default=None,
                       help="key=value file of defaults for this command.")(fn)
     fn = click.option("--seed", default=7, show_default=True, help="Master seed.")(fn)
@@ -170,7 +160,7 @@ def boxdim(ctx, **kwargs):
             seeds=[p["seed"] + i for i in range(p["seeds"])],
             scales=scales,
             m=p["m"],
-            threads=_thread_count(p["threads"]),
+            threads=p["threads"],
         )
     except (ValueError, TypeError) as exc:
         _fail_precondition(exc)

@@ -191,9 +191,9 @@ def cover_curve(s: GridSet, deltas) -> list:
 # iterated scaled intersections
 # ---------------------------------------------------------------------------
 
-def _membership_index(spec: FunctionSpec, level: int, theta: float,
-                      centers: np.ndarray, resolution: int) -> np.ndarray:
-    t = reduced_arguments(spec, level, centers, theta=theta)
+def _membership_index(spec: FunctionSpec, level: int, centers: np.ndarray,
+                      resolution: int) -> np.ndarray:
+    t = reduced_arguments(spec, level, centers)
     idx = (t * resolution).astype(np.int64)
     return np.minimum(idx, resolution - 1)
 
@@ -217,49 +217,25 @@ def _level_cap(spec: FunctionSpec, n: int, resolution: int) -> int:
     return cap
 
 
-def _intersection_levels(a: GridSet, spec: FunctionSpec, n: int, phase_pairs):
-    """Bits of the iterated intersection at levels 0..n, each a fresh array."""
+def intersection_sequence(a: GridSet, spec: FunctionSpec, n_max: int):
+    """Iterated intersections of A with its rescaled, phase-shifted periodic copies.
+
+    Set n keeps a cell iff its center (x, y) has, for every 1 <= j <= n,
+    (b_j x + theta_j, b_j y + theta_j) mod 1 landing in a marked cell of A,
+    with theta_j the spec's phase; the mod-1 wrap realizes the
+    translation-periodized extension of A.  Built for n = 0..n_max, capped
+    to usable levels.  Returns (sets, measures, n_effective); consecutive
+    sets are nested by construction, so the measures are nonincreasing.
+    """
     m = a.resolution
+    n_eff = _level_cap(spec, n_max, m)
     centers = cell_centers(m)
     bits = a.bits.copy()
-    yield bits
-    for j in range(1, n + 1):
-        if phase_pairs is not None and j - 1 < len(phase_pairs):
-            tx, ty = phase_pairs[j - 1]
-        else:
-            tx = ty = spec.phase(j)
-        ix = _membership_index(spec, j, float(tx), centers, m)
-        iy = _membership_index(spec, j, float(ty), centers, m)
-        bits = bits & a.bits[np.ix_(ix, iy)]
-        yield bits
-
-
-def iterated_intersection(a: GridSet, spec: FunctionSpec, phase_pairs, n: int) -> GridSet:
-    """Intersection of A with its n rescaled, phase-shifted periodic copies.
-
-    A cell stays marked iff its center (x, y) has, for every 1 <= j <= n,
-    (b_j x + theta_j, b_j y + theta_j) mod 1 landing in a marked cell of A;
-    the mod-1 wrap realizes the translation-periodized extension of A.
-    phase_pairs[j-1] supplies (theta_j^x, theta_j^y); None takes both from
-    the spec's phases.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    _level_cap(spec, n, a.resolution)  # warns only; every requested level is built
-    for bits in _intersection_levels(a, spec, n, phase_pairs):
-        pass
-    return GridSet(bits)
-
-
-def intersection_sequence(a: GridSet, spec: FunctionSpec, n_max: int,
-                          phase_pairs=None):
-    """All iterated intersections for n = 0..n_max (capped to usable levels).
-
-    Returns (sets, measures, n_effective); consecutive sets are nested by
-    construction, so the measures are nonincreasing.
-    """
-    n_eff = _level_cap(spec, n_max, a.resolution)
-    sets = [GridSet(bits) for bits in _intersection_levels(a, spec, n_eff, phase_pairs)]
+    sets = [GridSet(bits)]
+    for j in range(1, n_eff + 1):
+        idx = _membership_index(spec, j, centers, m)
+        bits = bits & a.bits[np.ix_(idx, idx)]
+        sets.append(GridSet(bits))
     measures = [s.measure() for s in sets]
     return sets, measures, n_eff
 

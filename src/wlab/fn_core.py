@@ -258,12 +258,13 @@ class CoefficientDraw:
 
     seed: int
     values: tuple
-    order: int
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.values) != self.order:
-            raise ValueError("order must equal len(values)")
+
+    @property
+    def order(self) -> int:
+        return len(self.values)
 
     def array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.float64)
@@ -277,12 +278,12 @@ def draw_coefficients(spec: FunctionSpec, seed: int, order: int) -> CoefficientD
         (spec.a ** n) * (2.0 * substream(seed, "coeff", n).random() - 1.0)
         for n in range(order)
     ]
-    return CoefficientDraw(seed=int(seed), values=tuple(values), order=order)
+    return CoefficientDraw(seed=int(seed), values=tuple(values))
 
 
 def zero_draw(order: int = 1) -> CoefficientDraw:
     """All-zero coefficients (f identically zero); handy as a null model."""
-    return CoefficientDraw(seed=0, values=(0.0,) * order, order=order)
+    return CoefficientDraw(seed=0, values=(0.0,) * order)
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +342,23 @@ def _wide_lane(m, e, b_num: int, k: int, t_num: int, kt: int) -> np.ndarray:
     return ((num % den) / den).astype(np.float64)  # int / int rounds once
 
 
-def reduced_arguments(spec: FunctionSpec, n: int, xs, theta: float | None = None) -> np.ndarray:
+def reduced_arguments(spec: FunctionSpec, n: int, xs) -> np.ndarray:
     """((b_n x + theta_n) mod 1) for an array of x, exact for every finite x, rounded once.
 
-    theta defaults to the spec's phase for level n; the result lies in [0, 1).
-    With b_n = B / 2^k, theta = T / 2^kt and x = M 2^e (every float is
-    dyadic), the result is ((B X + T') mod 2^S) / 2^S for integers X and T'
-    on S fraction bits, rounded once; a result that rounds to 1.0 is 0.0.
-    Points whose X fits S = 63 bits (e >= k - 63, kt <= 63) take a wrapping
-    uint64 lane; the rest take the same rule on Python ints.
+    theta_n is the spec's phase for level n; the result lies in [0, 1), and
+    is nan where x is nan or infinite, as g(x) is.  With b_n = B / 2^k,
+    theta_n = T / 2^kt and x = M 2^e (every float is dyadic), the result is
+    ((B X + T') mod 2^S) / 2^S for integers X and T' on S fraction bits,
+    rounded once; a result that rounds to 1.0 is 0.0.  Points whose X fits
+    S = 63 bits (e >= k - 63, kt <= 63) take a wrapping uint64 lane; the
+    rest take the same rule on Python ints.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    bad = ~np.isfinite(xs)
+    if bad.any():  # their mantissas have no int64 cast: reduce 0 there, then give nan
+        xs = np.where(bad, 0.0, xs)
     b_num, b_den = spec.freq.value(n).as_integer_ratio()
-    t_num, t_den = (spec.phase(n) if theta is None else float(theta)).as_integer_ratio()
+    t_num, t_den = spec.phase(n).as_integer_ratio()
     k, kt = b_den.bit_length() - 1, t_den.bit_length() - 1
     m, e = np.frexp(xs)
     m = (m * 2.0 ** 53).astype(np.int64)  # x = m 2^e exactly, |m| < 2^53
@@ -370,6 +375,7 @@ def reduced_arguments(spec: FunctionSpec, n: int, xs, theta: float | None = None
         if wide.any():
             t[wide] = _wide_lane(m[wide], e[wide], b_num, k, t_num, kt)
     t[t == 1.0] = 0.0
+    t[bad] = np.nan
     return t
 
 

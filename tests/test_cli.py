@@ -182,6 +182,16 @@ def test_threads_env_not_an_integer_is_a_usage_error(runner, tmp_path):
     assert "WLAB_THREADS" in r.output
 
 
+@pytest.mark.parametrize("args, env", [(["--threads", "0"], {}), (["--threads", "-3"], {}),
+                                       ([], {"WLAB_THREADS": "0"})],
+                         ids=["flag-0", "flag-neg", "env-0"])
+def test_threads_below_one_is_a_usage_error(runner, tmp_path, args, env):
+    r = runner.invoke(main, ["boxdim", "--output", str(tmp_path / "box.json")] + args, env=env)
+    assert r.exit_code == 2, r.output
+    assert "threads" in r.output.lower()
+    assert not (tmp_path / "box.json").exists()
+
+
 def test_threads_env_fallback(runner, tmp_path):
     out = tmp_path / "box.json"
     r = runner.invoke(main, [

@@ -15,7 +15,6 @@ from wlab.covering import (
     decay_fit,
     first_hit_sets,
     intersection_sequence,
-    iterated_intersection,
     near_level_set,
     oscillation_level_set,
     shrink_rate_bound,
@@ -196,40 +195,35 @@ def test_cover_curve_shape():
 def test_iterated_intersection_n0_is_identity():
     spec = _spec_08_2()
     a = near_level_set(COS, 0.05, 128)
-    assert iterated_intersection(a, spec, None, 0) == a
+    sets, measures, n_eff = intersection_sequence(a, spec, 0)
+    assert n_eff == 0
+    assert sets == [a]
+    assert measures == [a.measure()]
 
 
 def test_iterated_intersection_full_square_fixed_point():
     spec = _spec_08_2()
     a = GridSet.full(64)
-    assert iterated_intersection(a, spec, None, 4).measure() == 1.0
+    assert intersection_sequence(a, spec, 4)[1] == [1.0] * 5
 
 
 def test_iterated_intersection_brute_force_zero_phase():
     spec = _spec_08_2()
     a = near_level_set(COS, 0.05, 128, method="generic")
-    ours = iterated_intersection(a, spec, None, 3)
+    ours = intersection_sequence(a, spec, 3)[0][3]
     brute = oracles.brute_iterated_bits(a.bits, [1, 2, 4, 8], None, 3)
     assert np.array_equal(ours.bits, brute)
     assert ours.measure() == 0.01806640625  # frozen from the loop oracle
 
 
 def test_iterated_intersection_brute_force_random_phases():
-    spec = build_spec(0.8, geometric(2.0), phases=(0.0, 0.37, 0.81, 0.13))
+    phases = (0.0, 0.37, 0.81, 0.13)
+    spec = build_spec(0.8, geometric(2.0), phases=phases)
     a = near_level_set(COS, 0.08, 64, method="generic")
-    pairs = [(0.37, 0.37), (0.81, 0.81), (0.13, 0.13)]
-    ours = iterated_intersection(a, spec, pairs, 3)
-    brute = oracles.brute_iterated_bits(a.bits, [1, 2, 4, 8], pairs, 3)
-    assert np.array_equal(ours.bits, brute)
-
-
-def test_iterated_intersection_asymmetric_phase_pairs():
-    spec = _spec_08_2()
-    a = near_level_set(COS, 0.08, 64, method="generic")
-    pairs = [(0.2, 0.7)]
-    ours = iterated_intersection(a, spec, pairs, 1)
-    brute = oracles.brute_iterated_bits(a.bits, [1, 2], pairs, 1)
-    assert np.array_equal(ours.bits, brute)
+    sets = intersection_sequence(a, spec, 3)[0]
+    for n in range(4):
+        brute = oracles.brute_iterated_bits(a.bits, [1, 2, 4, 8], [(t, t) for t in phases[1:]], n)
+        assert np.array_equal(sets[n].bits, brute)
 
 
 def test_intersection_sequence_monotone_and_frozen():
@@ -452,10 +446,6 @@ def test_levels_past_explicit_frequencies_are_value_errors():
     from wlab.occupation import sinc_product
 
     spec = build_spec(0.75, explicit([1, 2, 4, 8, 16], 2.0))
-    a = near_level_set(COS, 0.1, 64, method="generic")
-    with pytest.warns(UserWarning, match="capping"), \
-            pytest.raises(ValueError, match="5 explicit frequencies"):
-        iterated_intersection(a, spec, None, 6)
     with pytest.raises(ValueError, match="5 explicit frequencies"):
         sinc_product(spec, 0.1, 0.3, 1.0, 7)
     with pytest.raises(ValueError, match="5 explicit frequencies"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -292,12 +293,30 @@ _REDUCTION_FREQS = [geometric(b) for b in (2, 3, 5, 2.5, 1.25)] + [explicit(_mix
 def test_reduction_exact_for_every_finite_x(xs, freq, n, theta):
     # negative, |x| > 1 and subnormal x, non-integer b_n and any finite phase
     # all reduce to the exact (b_n x + theta) mod 1, rounded once, in [0, 1)
-    spec = build_spec(0.9, freq)
-    got = fn_core.reduced_arguments(spec, n, xs, theta=theta)
+    spec = build_spec(0.9, freq, phases=[0.0] * n + [theta])
+    got = fn_core.reduced_arguments(spec, n, xs)
     b = Fraction(freq.b) ** n if freq.max_order is None else Fraction(freq.b_seq[n])
     for x, r in zip(xs, got):
         want = float((b * Fraction(x) + Fraction(theta)) % 1)
         assert r == want % 1.0, (x, r, want)
+
+
+@pytest.mark.parametrize("freq, phases", [(geometric(2.0), ()), (geometric(2.5), (0.1, 0.7))],
+                         ids=["b2", "b2.5-phased"])
+def test_non_finite_x_gives_nan(freq, phases):
+    # nan and +-inf have no reduced argument: f is nan there, as g(x) is,
+    # and the finite points of the same array are unaffected
+    spec = build_spec(0.8, freq, phases=phases)
+    draw = draw_coefficients(spec, 1, 10)
+    xs = np.array([np.nan, 0.3, np.inf, -7.125, -np.inf, 1e-300])
+    finite = np.isfinite(xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ys = evaluate_many(spec, draw, xs, 10)
+    assert np.isnan(ys[~finite]).all()
+    assert np.array_equal(ys[finite], evaluate_many(spec, draw, xs[finite], 10))
+    for x, y in zip(xs[finite], ys[finite]):
+        assert y == pytest.approx(oracles.mp_eval_series(spec, draw.values, x, 10), abs=1e-13)
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),

@@ -319,11 +319,15 @@ def test_pair_bound_trivial_when_scales_large():
     assert rep.n_checked + rep.n_invalid == 2
 
 
+def _level_set_pairs(spec, eps, k):
+    inter = oscillation_level_set(spec, 0, eps, 512) & oscillation_level_set(spec, 1, eps, 512)
+    return inter.sample_cell_centers(k, substream(5, "pairs"))
+
+
 def test_pair_bound_on_level_set_pairs():
     spec = build_spec(0.8, geometric(2.0))
     eps, u = 0.05, 100.0
-    inter = oscillation_level_set(spec, 0, eps, 512) & oscillation_level_set(spec, 1, eps, 512)
-    xs, ys = inter.sample_cell_centers(1000, substream(5, "pairs"))
+    xs, ys = _level_set_pairs(spec, eps, 1000)
     rep = pair_product_bound(spec, eps, u, list(zip(xs, ys)), 0, 1, order=30)
     assert rep.n_checked == 1000
     assert rep.n_invalid == 0
@@ -344,6 +348,38 @@ def test_pair_bound_counts_invalid_pairs():
     rep = pair_product_bound(spec, 0.05, 10.0, [(0.3, 0.3)], 0, 1)
     assert rep.n_invalid == 1
     assert rep.n_checked == 0
+
+
+def test_increment_half_widths_arrays_match_scalar_calls():
+    spec = build_spec(0.8, geometric(2.0), phases=(0.1, 0.7, 0.3))
+    xs, ys = _level_set_pairs(spec, 0.05, 20)
+    hw = increment_half_widths(spec, xs, ys, 30)
+    assert hw.shape == (20, 30)
+    stacked = np.stack([increment_half_widths(spec, x, y, 30) for x, y in zip(xs, ys)])
+    assert np.array_equal(hw, stacked)
+    assert increment_half_widths(spec, xs.reshape(4, 5), ys.reshape(4, 5), 30).shape == (4, 5, 30)
+    with pytest.raises(ValueError):
+        increment_half_widths(spec, xs, ys[:3], 30)
+
+
+def test_pair_bound_matches_sinc_product_loop():
+    spec = build_spec(0.8, geometric(2.0), phases=(0.1, 0.7, 0.3))
+    eps, u, n0, n1 = 0.05, 100.0, 0, 1
+    xs, ys = _level_set_pairs(spec, eps, 20)
+    pairs = list(zip(xs, ys)) + [(0.3, 0.3), (0.1, 0.6)]  # the last two fail the premise
+    rep = pair_product_bound(spec, eps, u, pairs, n0, n1, order=30)
+    bound = 1.0 / (eps ** 2 * u ** 2 * spec.a ** (n0 + n1))
+    ratios, n_invalid = [], 0
+    for x, y in pairs:
+        sp = sinc_product(spec, x, y, u, 30)
+        hw = sp.half_widths
+        if abs(hw[n0]) < eps * spec.a ** n0 or abs(hw[n1]) < eps * spec.a ** n1:
+            n_invalid += 1
+        else:
+            ratios.append(abs(sp.product) / bound)
+    assert (rep.n_checked, rep.n_invalid) == (len(ratios), n_invalid)
+    assert n_invalid == 2
+    assert rep.max_ratio == pytest.approx(max(ratios), rel=1e-12)
 
 
 def test_pair_bound_validation():
