@@ -20,6 +20,10 @@ from .fn_core import BaseFunction, FunctionSpec, fit_line, reduced_arguments, wr
 # Levels with fewer than this many grid cells per oscillation are noise.
 CELLS_PER_OSCILLATION = 4
 
+# Elements of the float64 row block behind every m x m threshold mask: 512 KiB,
+# so the buffer stays in L2 and no m x m float temporary is ever built.
+_MASK_BLOCK = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # bitmap sets
@@ -103,6 +107,21 @@ def cell_centers(resolution: int) -> np.ndarray:
     return (np.arange(resolution, dtype=np.float64) + 0.5) / float(resolution)
 
 
+def _far_mask(v: np.ndarray, epsilon: float) -> np.ndarray:
+    """Bool mask |v_i - v_j| >= epsilon, built a block of rows at a time."""
+    m = v.size
+    rows = max(1, _MASK_BLOCK // m)
+    buf = np.empty((min(rows, m), m), dtype=np.float64)
+    out = np.empty((m, m), dtype=bool)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        blk = buf[:hi - lo]
+        np.subtract(v[lo:hi, None], v[None, :], out=blk)
+        np.abs(blk, out=blk)
+        np.greater_equal(blk, epsilon, out=out[lo:hi])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # near-level sets of the base function
 # ---------------------------------------------------------------------------
@@ -124,13 +143,12 @@ def near_level_set(g: BaseFunction, epsilon: float, resolution: int,
         method = "factorized" if g.kind == "cos" else "generic"
     centers = cell_centers(resolution)
     if method == "generic":
-        gv = g.sample(centers)
-        marked = np.abs(gv[:, None] - gv[None, :]) < epsilon
+        marked = ~_far_mask(g.sample(centers), epsilon)
     elif method == "factorized":
         if g.kind != "cos":
             raise ValueError("factorized path applies to the plain cosine only")
-        s2 = np.sin(math.pi * centers) ** 2
-        marked = 2.0 * np.abs(s2[:, None] - s2[None, :]) < epsilon
+        # 2|s_i - s_j| == |2 s_i - 2 s_j| exactly: scaling by 2 commutes with rounding.
+        marked = ~_far_mask(2.0 * np.sin(math.pi * centers) ** 2, epsilon)
     else:
         raise ValueError(f"unknown method {method!r}")
     return GridSet(marked).dilate(1)
@@ -142,8 +160,7 @@ def oscillation_level_set(spec: FunctionSpec, n: int, epsilon: float,
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     centers = cell_centers(resolution)
-    gv = spec.g.sample(reduced_arguments(spec, n, centers))
-    return GridSet(np.abs(gv[:, None] - gv[None, :]) >= epsilon)
+    return GridSet(_far_mask(spec.g.sample(reduced_arguments(spec, n, centers)), epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +251,7 @@ def intersection_sequence(a: GridSet, spec: FunctionSpec, n_max: int):
     sets = [GridSet(bits)]
     for j in range(1, n_eff + 1):
         idx = _membership_index(spec, j, centers, m)
-        bits = bits & a.bits[np.ix_(idx, idx)]
+        bits = bits & np.take(np.take(a.bits, idx, axis=0), idx, axis=1)
         sets.append(GridSet(bits))
     measures = [s.measure() for s in sets]
     return sets, measures, n_eff
@@ -379,15 +396,15 @@ def first_hit_sets(spec: FunctionSpec, epsilon: float, n_max: int,
     second = np.full((m, m), -1, dtype=np.int16)
     for n in range(n_eff + 1):
         hit = oscillation_level_set(spec, n, epsilon, m).bits
-        new_first = (first < 0) & hit
-        first[new_first] = n
-        new_second = hit & ~new_first & (first >= 0) & (second < 0)
-        second[new_second] = n
+        seen = first >= 0
+        np.copyto(second, n, where=hit & seen & (second < 0))
+        np.copyto(first, n, where=hit & ~seen)
 
     k = n_eff + 1
     sets = [GridSet(first == n) for n in range(k)]
     paired = second >= 0
-    codes = first[paired].astype(np.int64) * k + second[paired].astype(np.int64)
+    # int32: int16 codes would wrap once k >= 182, which b close to 1 reaches.
+    codes = first[paired].astype(np.int32) * np.int32(k) + second[paired]
     counts = np.bincount(codes, minlength=k * k).reshape(k, k)
     pair_measures = counts.astype(np.float64) / float(m * m)
 

@@ -252,10 +252,23 @@ def energy_estimate(spec: FunctionSpec, draw: CoefficientDraw, t: float,
 # keeps the stable/diverging cases 4+ errors from the boundary for the
 # (0.8, 2) family.  The growth of the running mean between n_pairs/4 and
 # n_pairs, the spec'd symptom of an infinite mean, stays in as a secondary
-# trigger for blatant cases.
+# trigger for blatant cases, and only while the tail index is not 3 errors
+# above 1: a significantly finite mean outweighs a noisy running mean.
 _GROWTH_THRESHOLD = 0.05
 _GROWTH_TSTAT = 2.0
 _HILL_TOP = 2000
+_HILL_FINITE_MEAN = 1.0 / (1.0 - 3.0 / math.sqrt(_HILL_TOP))
+
+
+def _energy_verdict(tail_index: float, growth: float, growth_se: float) -> str:
+    """Verdict for one t: diverging for a tail index below 1, or for significant
+    growth while the tail index is not significantly above 1; else stable."""
+    grows = growth > _GROWTH_THRESHOLD and (
+        growth_se == 0.0 or growth > _GROWTH_TSTAT * growth_se
+    )
+    if tail_index < 1.0 or (grows and tail_index < _HILL_FINITE_MEAN):
+        return "diverging"
+    return "stable"
 
 
 def _hill_tail_index(w: np.ndarray, k: int) -> float:
@@ -273,7 +286,8 @@ def energy_threshold_scan(spec: FunctionSpec, t_grid, n_pairs: int, seeds,
     Diagnostics per t: the growth of the estimate from n_pairs/4 pairs (a
     prefix of the same stream) to n_pairs, the largest single term's share
     of the pooled sum, and a pooled Hill tail index.  A tail index below 1
-    (infinite mean) or systematic significant growth marks t as diverging.
+    (infinite mean) marks t as diverging, and so does systematic significant
+    growth unless the tail index is significantly above 1.
     """
     t_grid = [float(t) for t in t_grid]
     for t in t_grid:
@@ -312,15 +326,11 @@ def energy_threshold_scan(spec: FunctionSpec, t_grid, n_pairs: int, seeds,
         growth = float(log_growth.mean())
         growth_se = float(log_growth.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
         tail_index = _hill_tail_index(np.concatenate(top_blocks), _HILL_TOP)
-        grows = growth > _GROWTH_THRESHOLD and (
-            growth_se == 0.0 or growth > _GROWTH_TSTAT * growth_se
-        )
-        verdict = "diverging" if (tail_index < 1.0 or grows) else "stable"
         out.append(EnergyEstimate(
             t=t, value=value, std_error=se, n_pairs=n_pairs,
             quarter_value=float(quarters.mean()), growth=growth,
             max_share=pooled_max / pooled_sum, tail_index=tail_index,
-            verdict=verdict,
+            verdict=_energy_verdict(tail_index, growth, growth_se),
         ))
     return out
 

@@ -79,6 +79,22 @@ def brute_iterated_bits(a_bits, frequencies, phase_pairs, n):
     return bits
 
 
+def brute_pair_counts(level_values, eps):
+    """Per-cell loop over levels: counts[n0, n1] of cells first hit at n0, next at n1.
+
+    level_values[n, i] is g at the level-n argument of cell centre i; a cell
+    (i, j) is hit at n when |level_values[n, i] - level_values[n, j]| >= eps.
+    """
+    k, m = level_values.shape
+    counts = np.zeros((k, k), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            hits = [n for n in range(k) if abs(level_values[n, i] - level_values[n, j]) >= eps]
+            if len(hits) >= 2:
+                counts[hits[0], hits[1]] += 1
+    return counts
+
+
 def brute_cover_count(bits, delta):
     """Enumerate delta-squares and scan every grid cell for intersection."""
     m = bits.shape[0]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 from wlab.covering import (
     CoverParams,
     GridSet,
+    _far_mask,
+    cell_centers,
     cover_count,
     cover_curve,
     decay_fit,
@@ -19,7 +22,7 @@ from wlab.covering import (
     oscillation_level_set,
     shrink_rate_bound,
 )
-from wlab.fn_core import COS, COS_PLUS_HALF, build_spec, geometric
+from wlab.fn_core import COS, COS_PLUS_HALF, build_spec, geometric, reduced_arguments
 from wlab.rng import substream
 
 import oracles
@@ -132,6 +135,43 @@ def test_fast_path_matches_generic_cell_for_cell():
         assert (fast ^ gen).measure() <= 16.0 / m
 
 
+def test_far_mask_matches_outer_difference_with_ties():
+    # m = 1500 leaves a ragged last row block; the eighth-multiples tie exactly
+    m = 1500
+    rng = substream(5, "far-mask", 0)
+    v = np.where(rng.random(m) < 0.5, rng.integers(-8, 8, m) * 0.125, rng.normal(size=m))
+    eps = 0.25
+    diff = np.abs(v[:, None] - v[None, :])
+    assert np.any(diff == eps)
+    assert np.array_equal(_far_mask(v, eps), diff >= eps)
+
+
+def test_near_level_paths_match_outer_difference_expressions():
+    m, eps = 1500, 0.05
+    centers = cell_centers(m)
+    gv = COS_PLUS_HALF.sample(centers)
+    want = GridSet(np.abs(gv[:, None] - gv[None, :]) < eps).dilate(1)
+    assert near_level_set(COS_PLUS_HALF, eps, m, method="generic") == want
+    s2 = np.sin(math.pi * centers) ** 2
+    want = GridSet(2.0 * np.abs(s2[:, None] - s2[None, :]) < eps).dilate(1)
+    assert near_level_set(COS, eps, m, method="factorized") == want
+
+
+def test_level_set_masks_build_no_float_square():
+    # the traced peak stays below one float64 m x m array
+    m = 1024
+    spec = build_spec(0.8, geometric(2.0), g=COS_PLUS_HALF)
+    for build in (lambda: near_level_set(COS_PLUS_HALF, 0.05, m, method="generic"),
+                  lambda: oscillation_level_set(spec, 3, 0.05, m)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m
+
+
 def test_fast_path_rejected_for_other_bases():
     with pytest.raises(ValueError):
         near_level_set(COS_PLUS_HALF, 0.05, 64, method="factorized")
@@ -217,13 +257,14 @@ def test_iterated_intersection_brute_force_zero_phase():
 
 
 def test_iterated_intersection_brute_force_random_phases():
+    # b = 2.5 maps cell centres to indices that are no strided tiling of the grid
     phases = (0.0, 0.37, 0.81, 0.13)
-    spec = build_spec(0.8, geometric(2.0), phases=phases)
     a = near_level_set(COS, 0.08, 64, method="generic")
-    sets = intersection_sequence(a, spec, 3)[0]
-    for n in range(4):
-        brute = oracles.brute_iterated_bits(a.bits, [1, 2, 4, 8], [(t, t) for t in phases[1:]], n)
-        assert np.array_equal(sets[n].bits, brute)
+    for b in (2.0, 2.5):
+        sets = intersection_sequence(a, build_spec(0.8, geometric(b), phases=phases), 3)[0]
+        for n in range(4):
+            brute = oracles.brute_iterated_bits(a.bits, [b ** j for j in range(4)], [(t, t) for t in phases[1:]], n)
+            assert np.array_equal(sets[n].bits, brute)
 
 
 def test_intersection_sequence_monotone_and_frozen():
@@ -393,6 +434,19 @@ def test_first_hit_measures_match_sets():
     k = d.pair_measures.shape[0]
     lower = np.tril_indices(k)
     assert np.all(d.pair_measures[lower] == 0.0)  # only n0 < n1 populated
+
+
+def test_first_hit_pair_measures_match_loop_oracle():
+    # b = 1.01 keeps 279 levels at m = 64, so pair codes n0 * k + n1 reach 63561
+    m, eps = 64, 0.5
+    spec = build_spec(0.995, geometric(1.01))
+    d = first_hit_sets(spec, eps, 278, m)
+    k = d.n_max_effective + 1
+    assert k == 279
+    values = np.array([spec.g.sample(reduced_arguments(spec, n, cell_centers(m))) for n in range(k)])
+    counts = oracles.brute_pair_counts(values, eps)
+    assert np.nonzero(counts)[0].max() * k > np.iinfo(np.int16).max
+    assert np.array_equal(d.pair_measures, counts / float(m * m))
 
 
 def test_first_hit_residual_shrinks():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wlab.dimension import (
     DensityError,
+    _energy_verdict,
     box_count,
     box_dimension_estimate,
     box_dimension_scan,
@@ -251,6 +252,17 @@ def test_scan_verdicts_small_scale():
         assert e.value > 0
         assert math.isfinite(e.std_error)
         assert e.tail_index is not None
+
+
+@pytest.mark.parametrize("tail_index, growth, growth_se, want", [
+    (1.214, 0.079, 0.01, "stable"),      # draws 20..25 at t = 1.4: index 7 errors above 1
+    (0.894, 0.0, 0.0, "diverging"),      # t = 1.9: infinite mean whatever the growth
+    (0.894, 0.604, 0.05, "diverging"),
+    (1.062, 0.218, 0.02, "diverging"),   # t = 1.6: index within 3 errors of 1, growth significant
+    (1.062, 0.218, 0.2, "stable"),       # same growth, not significant
+])
+def test_energy_verdict_rule(tail_index, growth, growth_se, want):
+    assert _energy_verdict(tail_index, growth, growth_se) == want
 
 
 def test_scan_handles_explicit_frequencies():

@@ -1,11 +1,13 @@
 """Print a SHA-256 digest of every artifact wlab writes, for byte-identity checks.
 
 Runs each CLI command at its defaults (plus a non-integer b, an explicit
-frequency sequence with phases, a phased gen on integer b and a phased
-cover) into a temporary directory, then calls the two writers only the
-library reaches.  Prints one ``sha256 path`` line per artifact, paths
-relative to that directory, so two source trees can be compared with
-``diff``.  Run it from a checkout's root:
+frequency sequence with phases, a phased gen on integer b, a phased cover
+and a cos2 cover with PBMs, whose near-level set takes the generic path)
+into a temporary directory, then calls the writers only the library
+reaches (first-hit measures for zero-phase cos and phased cos2, and a
+characteristic-function profile).  Prints one ``sha256 path`` line per
+artifact, paths relative to that directory, so two source trees can be
+compared with ``diff``.  Run it from a checkout's root:
 
     PYTHONPATH=src python3 tools/artifact_digests.py
 
@@ -39,6 +41,7 @@ RUNS = [
     ["occ", "--output", "density.csv"],
     ["cover", "--pbm", "--output", "cover.csv"],
     ["cover", "--phases", PHASES, "--output", "cover_phases.csv"],
+    ["cover", "--g", "cos2", "--pbm", "--output", "cover_cos2.csv"],
     ["verify-all", "--profile", "desk", "--report", "verify.json"],
 ]
 
@@ -55,6 +58,9 @@ def run_cli(args) -> None:
 def library_writers(out: Path) -> None:
     spec = fn_core.build_spec(0.8, fn_core.geometric(2.0))
     covering.first_hit_sets(spec, 0.05, 6, 512).write_measures_csv(out / "first_hit.csv")
+    phased = fn_core.build_spec(0.8, fn_core.geometric(2.0), phases=[float(t) for t in PHASES.split(",")],
+                                g=fn_core.COS_PLUS_HALF)
+    covering.first_hit_sets(phased, 0.05, 6, 1024).write_measures_csv(out / "first_hit_cos2.csv")
     order = fn_core.truncation_order(spec, fn_core.default_tolerance(spec))
     sample = fn_core.sample_graph(spec, fn_core.draw_coefficients(spec, 3, order), 1 << 15)
     occupation.char_function_profile(sample, du=0.5, u_max=64.0).write_csv(out / "profile.csv")
