@@ -250,18 +250,25 @@ def occ(ctx, **kwargs):
 def cover(ctx, **kwargs):
     """Near-level set of g, its iterated intersections, and their decay."""
     p = _merge_config(ctx, kwargs.pop("config"), **kwargs)
+    base = os.path.splitext(p["output"])[0]
+    written = []
+
+    def write_level(n, s):
+        # Levels are streamed, so each PBM is written before the fit is known.
+        written.append(f"{base}_level{n}.pbm")
+        s.write_pbm(written[-1])
+
     try:
         spec = _build_spec(p["a"], p["b"], p["b_seq"], p["phases"], p["g"])
         a_set = covering.near_level_set(spec.g, p["epsilon"], p["resolution"])
-        sets, measures, n_eff = covering.intersection_sequence(a_set, spec, p["n_max"])
+        _, measures, n_eff = covering.intersection_sequence(
+            a_set, spec, p["n_max"], write_level if p["pbm"] else None)
         fit = covering.decay_fit(measures)
     except (ValueError, TypeError) as exc:
+        for path in written:
+            os.remove(path)
         _fail_precondition(exc)
     covering.write_measures_csv(p["output"], measures)
-    if p["pbm"]:
-        base = os.path.splitext(p["output"])[0]
-        for n, s in enumerate(sets):
-            s.write_pbm(f"{base}_level{n}.pbm")
     click.echo(f"levels 0..{n_eff}: rate={fit.rate:.4f} r2={fit.r2:.4f}; "
                f"wrote {p['output']}")
 

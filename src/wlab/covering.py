@@ -9,6 +9,7 @@ set, matching the direction of the decay estimates being verified.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -21,8 +22,13 @@ from .fn_core import BaseFunction, FunctionSpec, fit_line, reduced_arguments, wr
 CELLS_PER_OSCILLATION = 4
 
 # Elements of the float64 row block behind every m x m threshold mask: 512 KiB,
-# so the buffer stays in L2 and no m x m float temporary is ever built.
+# so the buffer stays in L2 and no m x m float temporary is ever built.  The
+# bitmap kernels walk their rows in blocks of the same number of cells.
 _MASK_BLOCK = 1 << 16
+
+# Side of the square tiles the PBM writer transposes: a source tile and its
+# destination both stay in L1, where a whole-grid strided transpose does not.
+_PBM_TILE = 128
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +53,6 @@ class GridSet:
     def measure(self) -> float:
         return float(np.count_nonzero(self.bits)) / float(self.bits.size)
 
-    def complement(self) -> "GridSet":
-        return GridSet(~self.bits)
-
     def __and__(self, other: "GridSet") -> "GridSet":
         return GridSet(self.bits & other.bits)
 
@@ -63,32 +66,48 @@ class GridSet:
         return isinstance(other, GridSet) and np.array_equal(self.bits, other.bits)
 
     def dilate(self, steps: int = 1) -> "GridSet":
-        """Chebyshev dilation with periodic wrap (the sets are torus-periodic);
-        the 3 x 3 window is separable, so each step rolls once each way per axis."""
+        """Chebyshev dilation with periodic wrap (the sets are torus-periodic).
+
+        The 3 x 3 window is separable.  Each step ORs the shifted rows of its
+        untouched source into one copy, then ORs the shifted columns of that
+        copy in place from a saved block of rows, so a step holds two m x m
+        bitmaps and one block.
+        """
         out = self.bits
+        m = out.shape[0]
+        rows = max(1, _MASK_BLOCK // m)
+        buf = np.empty((min(rows, m), m), dtype=bool)
         for _ in range(steps):
-            for axis in (0, 1):
-                out = out | np.roll(out, 1, axis=axis) | np.roll(out, -1, axis=axis)
+            src, out = out, out.copy()
+            out[1:] |= src[:-1]
+            out[0] |= src[-1]
+            out[:-1] |= src[1:]
+            out[-1] |= src[0]
+            del src
+            for lo in range(0, m, rows):
+                blk = out[lo:lo + rows]
+                saved = buf[:blk.shape[0]]
+                saved[...] = blk
+                blk[:, 1:] |= saved[:, :-1]
+                blk[:, 0] |= saved[:, -1]
+                blk[:, :-1] |= saved[:, 1:]
+                blk[:, -1] |= saved[:, 0]
         return GridSet(out)
 
     def contains_within(self, other: "GridSet", fringe: int = 1) -> bool:
         """True when every cell of self lies within ``fringe`` cells of other."""
         return not np.any(self.bits & ~other.dilate(fringe).bits)
 
-    def sample_cell_centers(self, k: int, rng: np.random.Generator):
-        """Centers of k marked cells chosen uniformly (with replacement)."""
-        ix, iy = np.nonzero(self.bits)
-        if len(ix) == 0:
-            return np.empty(0), np.empty(0)
-        pick = rng.integers(0, len(ix), size=k)
-        m = float(self.resolution)
-        return (ix[pick] + 0.5) / m, (iy[pick] + 0.5) / m
-
     def write_pbm(self, path) -> None:
         """Plain PBM (P1); rows are y top-to-bottom for visual inspection."""
         m = self.resolution
         rows = np.full((m, m + 1), ord("\n"), dtype=np.uint8)
-        rows[:, :m] = self.bits.T[::-1]  # row 0 = top of the square
+        # rows[r, c] = bits[c, m - 1 - r]: row 0 = top of the square
+        flipped = self.bits[:, ::-1]
+        t = _PBM_TILE
+        for r in range(0, m, t):
+            for c in range(0, m, t):
+                rows[r:r + t, c:min(c + t, m)] = flipped[c:c + t, r:r + t].T
         rows[:, :m] += ord("0")
         with open(path, "wb") as fh:
             fh.write(f"P1\n{m} {m}\n".encode())
@@ -234,27 +253,37 @@ def _level_cap(spec: FunctionSpec, n: int, resolution: int) -> int:
     return cap
 
 
-def intersection_sequence(a: GridSet, spec: FunctionSpec, n_max: int):
+def intersection_sequence(a: GridSet, spec: FunctionSpec, n_max: int, on_level=None):
     """Iterated intersections of A with its rescaled, phase-shifted periodic copies.
 
     Set n keeps a cell iff its center (x, y) has, for every 1 <= j <= n,
     (b_j x + theta_j, b_j y + theta_j) mod 1 landing in a marked cell of A,
     with theta_j the spec's phase; the mod-1 wrap realizes the
     translation-periodized extension of A.  Built for n = 0..n_max, capped
-    to usable levels.  Returns (sets, measures, n_effective); consecutive
-    sets are nested by construction, so the measures are nonincreasing.
+    to usable levels, in place in one bitmap: consecutive sets are nested by
+    construction, so the measures are nonincreasing.
+
+    ``on_level(n, s)``, if given, is called once per level in order
+    n = 0..n_effective.  The GridSet it receives is overwritten by the next
+    level, so a caller that keeps it must copy its bits.  Returns
+    (deepest set, measures, n_effective).
     """
     m = a.resolution
     n_eff = _level_cap(spec, n_max, m)
     centers = cell_centers(m)
-    bits = a.bits.copy()
-    sets = [GridSet(bits)]
-    for j in range(1, n_eff + 1):
-        idx = _membership_index(spec, j, centers, m)
-        bits = bits & np.take(np.take(a.bits, idx, axis=0), idx, axis=1)
-        sets.append(GridSet(bits))
-    measures = [s.measure() for s in sets]
-    return sets, measures, n_eff
+    level = GridSet(a.bits.copy())
+    bits = level.bits
+    rows = max(1, _MASK_BLOCK // m)
+    measures = []
+    for j in range(n_eff + 1):
+        if j:
+            idx = _membership_index(spec, j, centers, m)
+            for lo in range(0, m, rows):
+                bits[lo:lo + rows] &= np.take(np.take(a.bits, idx[lo:lo + rows], axis=0), idx, axis=1)
+        measures.append(level.measure())
+        if on_level is not None:
+            on_level(j, level)
+    return level, measures, n_eff
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +381,9 @@ def decay_fit(measures) -> DecayFit:
 class FirstHitDecomposition:
     """First- and second-hit partition of the square by the oscillation sets.
 
-    sets[n] holds the cells whose first index with |g(b_n x) - g(b_n y)| >=
-    epsilon is n; pair_measures[n0, n1] is the measure of the cells hitting
+    first[i, j] is the first index n with |g(b_n x) - g(b_n y)| >= epsilon at
+    the cell's center (-1 if none up to the cap), and sets[n] the cells with
+    first index n; pair_measures[n0, n1] is the measure of the cells hitting
     first at n0 and next at n1.  partial_sums[k] accumulates
     sum_{n0 < n1 <= k} measure / (a^n0 a^n1), the series whose convergence
     drives the occupation-density argument.
@@ -362,15 +392,15 @@ class FirstHitDecomposition:
     epsilon: float
     resolution: int
     n_max_effective: int
-    sets: list = field(repr=False)
+    first: np.ndarray = field(repr=False)
     pair_measures: np.ndarray = field(repr=False)
     partial_sums: list = field(default_factory=list)
     residual_first: float = 0.0
     residual_pair: float = 0.0
 
-    @property
-    def partial_sum(self) -> float:
-        return self.partial_sums[-1] if self.partial_sums else 0.0
+    @functools.cached_property
+    def sets(self) -> list:
+        return [GridSet(self.first == n) for n in range(self.n_max_effective + 1)]
 
     def increments(self) -> list:
         return [b - a for a, b in zip(self.partial_sums, self.partial_sums[1:])]
@@ -396,17 +426,24 @@ def first_hit_sets(spec: FunctionSpec, epsilon: float, n_max: int,
     second = np.full((m, m), -1, dtype=np.int16)
     for n in range(n_eff + 1):
         hit = oscillation_level_set(spec, n, epsilon, m).bits
-        seen = first >= 0
-        np.copyto(second, n, where=hit & seen & (second < 0))
-        np.copyto(first, n, where=hit & ~seen)
+        mask = first >= 0
+        mask &= hit
+        mask &= second < 0
+        np.copyto(second, n, where=mask)
+        np.less(first, 0, out=mask)
+        mask &= hit
+        np.copyto(first, n, where=mask)
+        del hit, mask
 
     k = n_eff + 1
-    sets = [GridSet(first == n) for n in range(k)]
-    paired = second >= 0
-    # int32: int16 codes would wrap once k >= 182, which b close to 1 reaches.
-    codes = first[paired].astype(np.int32) * np.int32(k) + second[paired]
-    counts = np.bincount(codes, minlength=k * k).reshape(k, k)
-    pair_measures = counts.astype(np.float64) / float(m * m)
+    counts = np.zeros(k * k, dtype=np.int64)
+    rows = max(1, _MASK_BLOCK // m)
+    for lo in range(0, m, rows):
+        f, s = first[lo:lo + rows], second[lo:lo + rows]
+        paired = s >= 0
+        # int32: int16 codes would wrap once k >= 182, which b close to 1 reaches.
+        counts += np.bincount(f[paired].astype(np.int32) * np.int32(k) + s[paired], minlength=k * k)
+    pair_measures = counts.reshape(k, k).astype(np.float64) / float(m * m)
 
     a = spec.a
     partial_sums = []
@@ -420,7 +457,7 @@ def first_hit_sets(spec: FunctionSpec, epsilon: float, n_max: int,
         epsilon=float(epsilon),
         resolution=m,
         n_max_effective=n_eff,
-        sets=sets,
+        first=first,
         pair_measures=pair_measures,
         partial_sums=partial_sums,
         residual_first=float(np.count_nonzero(first < 0)) / float(m * m),

@@ -127,6 +127,20 @@ def test_cover_outputs_with_pbm(runner, tmp_path):
         assert pbm.read_text().startswith("P1\n128 128\n")
 
 
+def test_cover_precondition_failure_leaves_no_pbm(runner, tmp_path):
+    # two levels are too few to fit a decay; the level PBMs are streamed before
+    # the fit, so the failure must take them away again
+    out = tmp_path / "out"
+    out.mkdir()
+    result = runner.invoke(main, [
+        "cover", "--resolution", "128", "--n-max", "1", "--pbm",
+        "--output", str(out / "c.csv"),
+    ])
+    assert result.exit_code == 3
+    assert "need >= 3 positive leading measures" in result.output
+    assert list(out.iterdir()) == []
+
+
 def test_config_file_defaults_and_flag_override(runner, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("points=64\nseed=21\n")

@@ -44,15 +44,6 @@ def test_measure_full_empty_half():
     assert GridSet(bits).measure() == 0.5
 
 
-@given(arrays(bool, (12, 12)))
-@settings(max_examples=30, deadline=None)
-def test_complement_involution(bits):
-    s = GridSet(bits)
-    assert s.complement().complement() == s
-    assert 0.0 <= s.measure() <= 1.0
-    assert s.measure() + s.complement().measure() == pytest.approx(1.0)
-
-
 def test_gridset_requires_square():
     with pytest.raises(ValueError):
         GridSet(np.zeros((4, 5), dtype=bool))
@@ -79,6 +70,17 @@ def test_pbm_orientation(tmp_path):
     assert path.read_bytes() == b"P1\n3 3\n100\n001\n110\n"
 
 
+def test_pbm_tiled_transpose_matches_flip_on_ragged_tiles(tmp_path):
+    # m = 300 leaves partial tiles on the last row and column of tiles
+    m = 300
+    bits = substream(3, "pbm-tiles").random((m, m)) < 0.3
+    path = tmp_path / "set.pbm"
+    GridSet(bits).write_pbm(path)
+    rows = np.full((m, m + 1), ord("\n"), dtype=np.uint8)
+    rows[:, :m] = bits.T[::-1] + np.uint8(ord("0"))
+    assert path.read_bytes() == f"P1\n{m} {m}\n".encode() + rows.tobytes()
+
+
 @pytest.mark.parametrize("steps", [1, 2, 3])
 def test_dilate_matches_periodic_window(steps):
     bits = substream(6, "dilate").random((16, 16)) < 0.04
@@ -87,12 +89,19 @@ def test_dilate_matches_periodic_window(steps):
     assert np.array_equal(ours, oracles.brute_dilate_bits(bits, steps))
 
 
-def test_sample_cell_centers_land_in_marked_cells():
-    bits = substream(4, "cells").random((32, 32)) < 0.2
-    s = GridSet(bits)
-    xs, ys = s.sample_cell_centers(50, substream(5, "pick"))
-    for x, y in zip(xs, ys):
-        assert s.bits[int(x * 32), int(y * 32)]
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_dilate_matches_rolls_on_ragged_row_blocks(steps):
+    # m = 300 does not divide the row block, so the last block is short
+    m = 300
+    bits = substream(6, "dilate-ragged").random((m, m)) < 0.01
+    bits[0, m - 1] = bits[m - 1, 0] = True
+    want = bits
+    for _ in range(steps):
+        for axis in (0, 1):
+            want = want | np.roll(want, 1, axis=axis) | np.roll(want, -1, axis=axis)
+    before = bits.copy()
+    assert np.array_equal(GridSet(bits).dilate(steps).bits, want)
+    assert np.array_equal(bits, before)
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +167,23 @@ def test_near_level_paths_match_outer_difference_expressions():
 
 
 def test_level_set_masks_build_no_float_square():
-    # the traced peak stays below one float64 m x m array
+    # the traced peak stays below one float64 m x m array, and the bitmap
+    # stages hold at most about one working bitmap each (bounds in m^2 bytes)
     m = 1024
     spec = build_spec(0.8, geometric(2.0), g=COS_PLUS_HALF)
-    for build in (lambda: near_level_set(COS_PLUS_HALF, 0.05, m, method="generic"),
-                  lambda: oscillation_level_set(spec, 3, 0.05, m)):
+    a = near_level_set(COS, 0.05, m)
+    for build, bound in ((lambda: near_level_set(COS_PLUS_HALF, 0.05, m, method="generic"), 2.5),
+                         (lambda: oscillation_level_set(spec, 3, 0.05, m), 8),
+                         (lambda: a.dilate(1), 1.5),
+                         (lambda: intersection_sequence(a, _spec_08_2(), 6), 1.5),
+                         (lambda: first_hit_sets(spec, 0.05, 8, m), 10)):
         tracemalloc.start()
         try:
             build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * m * m
+        assert peak < bound * m * m
 
 
 def test_fast_path_rejected_for_other_bases():
@@ -232,10 +246,20 @@ def test_cover_curve_shape():
 # iterated intersections
 # ---------------------------------------------------------------------------
 
+def _levels(a, spec, n_max):
+    """intersection_sequence with a copy of every level its on_level callback sees."""
+    seen = []
+    deepest, measures, n_eff = intersection_sequence(
+        a, spec, n_max, on_level=lambda n, s: seen.append((n, GridSet(s.bits.copy()))))
+    assert [n for n, _ in seen] == list(range(n_eff + 1))
+    assert deepest == seen[-1][1]
+    return [s for _, s in seen], measures, n_eff
+
+
 def test_iterated_intersection_n0_is_identity():
     spec = _spec_08_2()
     a = near_level_set(COS, 0.05, 128)
-    sets, measures, n_eff = intersection_sequence(a, spec, 0)
+    sets, measures, n_eff = _levels(a, spec, 0)
     assert n_eff == 0
     assert sets == [a]
     assert measures == [a.measure()]
@@ -244,13 +268,15 @@ def test_iterated_intersection_n0_is_identity():
 def test_iterated_intersection_full_square_fixed_point():
     spec = _spec_08_2()
     a = GridSet.full(64)
-    assert intersection_sequence(a, spec, 4)[1] == [1.0] * 5
+    sets, measures, _ = _levels(a, spec, 4)
+    assert sets == [a] * 5
+    assert measures == [1.0] * 5
 
 
 def test_iterated_intersection_brute_force_zero_phase():
     spec = _spec_08_2()
     a = near_level_set(COS, 0.05, 128, method="generic")
-    ours = intersection_sequence(a, spec, 3)[0][3]
+    ours = _levels(a, spec, 3)[0][3]
     brute = oracles.brute_iterated_bits(a.bits, [1, 2, 4, 8], None, 3)
     assert np.array_equal(ours.bits, brute)
     assert ours.measure() == 0.01806640625  # frozen from the loop oracle
@@ -261,19 +287,38 @@ def test_iterated_intersection_brute_force_random_phases():
     phases = (0.0, 0.37, 0.81, 0.13)
     a = near_level_set(COS, 0.08, 64, method="generic")
     for b in (2.0, 2.5):
-        sets = intersection_sequence(a, build_spec(0.8, geometric(b), phases=phases), 3)[0]
+        sets = _levels(a, build_spec(0.8, geometric(b), phases=phases), 3)[0]
         for n in range(4):
             brute = oracles.brute_iterated_bits(a.bits, [b ** j for j in range(4)], [(t, t) for t in phases[1:]], n)
             assert np.array_equal(sets[n].bits, brute)
 
 
+def test_intersection_sequence_blocked_gather_matches_fancy_index():
+    # m = 1500 leaves a ragged last row block; b = 2.5 with phases maps cell
+    # centres to indices that do not tile the grid
+    m = 1500
+    phases = (0.0, 0.37, 0.81, 0.13, 0.55)
+    spec = build_spec(0.8, geometric(2.5), phases=phases)
+    a = near_level_set(COS, 0.05, m)
+    sets, measures, n_eff = _levels(a, spec, 4)
+    assert n_eff == 4
+    bits = a.bits.copy()
+    for j in range(n_eff + 1):
+        if j:
+            idx = np.minimum((reduced_arguments(spec, j, cell_centers(m)) * m).astype(np.int64), m - 1)
+            bits = bits & a.bits[np.ix_(idx, idx)]
+        assert np.array_equal(sets[j].bits, bits)
+        assert measures[j] == np.count_nonzero(bits) / m ** 2
+
+
 def test_intersection_sequence_monotone_and_frozen():
     spec = _spec_08_2()
     a = near_level_set(COS, 0.05, 2048)
-    sets, measures, n_eff = intersection_sequence(a, spec, 6)
+    sets, measures, n_eff = _levels(a, spec, 6)
     assert n_eff == 6
     assert len(sets) == 7
     assert all(m2 < m1 for m1, m2 in zip(measures, measures[1:]))
+    assert all(not np.any(s.bits & ~prev.bits) for prev, s in zip(sets, sets[1:]))
     # regression fixture computed by the bitmap construction itself
     assert measures == [
         0.06508445739746094,

@@ -1,8 +1,9 @@
 """Print a SHA-256 digest of every artifact wlab writes, for byte-identity checks.
 
 Runs each CLI command at its defaults (plus a non-integer b, an explicit
-frequency sequence with phases, a phased gen on integer b, a phased cover
-and a cos2 cover with PBMs, whose near-level set takes the generic path)
+frequency sequence with phases, a phased gen on integer b, a phased cover,
+a phased cover on b = 2.5 with PBMs, whose cell indices do not tile the
+grid, and a cos2 cover with PBMs, whose near-level set takes the generic path)
 into a temporary directory, then calls the writers only the library
 reaches (first-hit measures for zero-phase cos and phased cos2, and a
 characteristic-function profile).  Prints one ``sha256 path`` line per
@@ -41,6 +42,7 @@ RUNS = [
     ["occ", "--output", "density.csv"],
     ["cover", "--pbm", "--output", "cover.csv"],
     ["cover", "--phases", PHASES, "--output", "cover_phases.csv"],
+    ["cover", "--b", "2.5", "--phases", PHASES, "--pbm", "--output", "cover_b2.5.csv"],
     ["cover", "--g", "cos2", "--pbm", "--output", "cover_cos2.csv"],
     ["verify-all", "--profile", "desk", "--report", "verify.json"],
 ]
