@@ -18,6 +18,7 @@ import click
 
 from . import acceptance, covering, dimension, fn_core, occupation
 
+CONFIG_EXIT = 2
 PRECONDITION_EXIT = 3
 
 
@@ -64,6 +65,26 @@ def _merge_config(ctx: click.Context, config: str | None, **kwargs) -> dict:
     return merged
 
 
+def _check_output_dir(path: str) -> None:
+    """Exit 2 before any work when the directory an output goes to is missing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        click.echo(f"error: output directory {parent} does not exist", err=True)
+        sys.exit(CONFIG_EXIT)
+
+
+def _command_params(ctx: click.Context, kwargs: dict) -> dict:
+    """Merged parameters of a command that writes --output and may use --threads.
+
+    The output directory is checked, and the thread count holds until the
+    command's context closes.
+    """
+    p = _merge_config(ctx, kwargs.pop("config"), **kwargs)
+    _check_output_dir(p["output"])
+    ctx.with_resource(fn_core.worker_threads(p["threads"]))
+    return p
+
+
 def _build_spec(a: float, b: float, b_seq: str | None, phases: str | None,
                 g: str) -> fn_core.FunctionSpec:
     phase_tuple = tuple(float(v) for v in phases.split(",")) if phases else ()
@@ -99,7 +120,8 @@ def spec_options(fn):
 
 def common_options(fn):
     fn = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-                      envvar="WLAB_THREADS", show_envvar=True, help="Worker cap.")(fn)
+                      envvar="WLAB_THREADS", show_envvar=True,
+                      help="Threads that evaluate f; results are the same for any count.")(fn)
     fn = click.option("--config", type=click.Path(), default=None,
                       help="key=value file of defaults for this command.")(fn)
     fn = click.option("--seed", default=7, show_default=True, help="Master seed.")(fn)
@@ -123,7 +145,7 @@ def main():
 @click.pass_context
 def gen(ctx, **kwargs):
     """Sample one random draw of f on a uniform grid."""
-    p = _merge_config(ctx, kwargs.pop("config"), **kwargs)
+    p = _command_params(ctx, kwargs)
     try:
         spec = _build_spec(p["a"], p["b"], p["b_seq"], p["phases"], p["g"])
         order = fn_core.effective_order(spec, p["tol"])
@@ -151,7 +173,7 @@ def gen(ctx, **kwargs):
 @click.pass_context
 def boxdim(ctx, **kwargs):
     """Box-counting dimension of graph(f) against the predicted value."""
-    p = _merge_config(ctx, kwargs.pop("config"), **kwargs)
+    p = _command_params(ctx, kwargs)
     try:
         spec = _build_spec(p["a"], p["b"], p["b_seq"], p["phases"], p["g"])
         scales = [2.0 ** -k for k in range(p["min_scale_exp"], p["max_scale_exp"] + 1)]
@@ -160,7 +182,6 @@ def boxdim(ctx, **kwargs):
             seeds=[p["seed"] + i for i in range(p["seeds"])],
             scales=scales,
             m=p["m"],
-            threads=p["threads"],
         )
     except (ValueError, TypeError) as exc:
         _fail_precondition(exc)
@@ -185,7 +206,7 @@ def boxdim(ctx, **kwargs):
 @click.pass_context
 def energy(ctx, **kwargs):
     """Monte Carlo t-energy scan with stability verdicts."""
-    p = _merge_config(ctx, kwargs.pop("config"), **kwargs)
+    p = _command_params(ctx, kwargs)
     try:
         spec = _build_spec(p["a"], p["b"], p["b_seq"], p["phases"], p["g"])
         t_grid = [float(v) for v in p["t_grid"].split(",")]
@@ -212,7 +233,7 @@ def energy(ctx, **kwargs):
 @click.pass_context
 def occ(ctx, **kwargs):
     """Occupation density, its L2 norm, and the Parseval cross-check."""
-    p = _merge_config(ctx, kwargs.pop("config"), **kwargs)
+    p = _command_params(ctx, kwargs)
     try:
         spec = _build_spec(p["a"], p["b"], p["b_seq"], p["phases"], p["g"])
         draw = fn_core.draw_coefficients(spec, p["seed"], max(fn_core.effective_order(spec), 1))
@@ -249,7 +270,7 @@ def occ(ctx, **kwargs):
 @click.pass_context
 def cover(ctx, **kwargs):
     """Near-level set of g, its iterated intersections, and their decay."""
-    p = _merge_config(ctx, kwargs.pop("config"), **kwargs)
+    p = _command_params(ctx, kwargs)
     base = os.path.splitext(p["output"])[0]
     written = []
 
@@ -282,6 +303,8 @@ def cover(ctx, **kwargs):
               help="Also write a JSON report here.")
 def verify_all(profile, criteria, report):
     """Run the acceptance criteria; exit 0 iff every one passes."""
+    if report:
+        _check_output_dir(report)
     prof = acceptance.PROFILES[profile]
     selected = None
     if criteria:

@@ -12,7 +12,6 @@ standard errors is the tool.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,8 +127,7 @@ def geometric_scales(spec: FunctionSpec, n_lo: int, n_hi: int) -> list:
 
 
 def box_dimension_scan(spec: FunctionSpec, seeds, scales, m: int | None = None,
-                       tol: float | None = None, min_points_per_column: int = 8,
-                       threads: int = 1) -> DimensionEstimate:
+                       tol: float | None = None, min_points_per_column: int = 8) -> DimensionEstimate:
     """Seed-averaged box dimension: fit the mean of log N(eps) over draws.
 
     The least-squares slope is linear in log N, so this equals the mean of
@@ -145,14 +143,7 @@ def box_dimension_scan(spec: FunctionSpec, seeds, scales, m: int | None = None,
         sample = sample_graph(spec, draw, m, tol)
         return [box_count(sample, e, min_points_per_column) for e in arr]
 
-    seeds = list(seeds)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_counts = list(pool.map(one_seed, seeds))
-    else:
-        all_counts = [one_seed(s) for s in seeds]
-
-    log_counts = np.log(np.asarray(all_counts, dtype=np.float64))
+    log_counts = np.log(np.asarray([one_seed(s) for s in seeds], dtype=np.float64))
     mean_logs = log_counts.mean(axis=0)
     x = -np.log(arr)
     slope, intercept, r2 = fit_line(x, mean_logs)
@@ -210,9 +201,8 @@ def _pair_distances_sq(spec: FunctionSpec, draw: CoefficientDraw, order: int,
             y[equal] = gen.random(n_eq)
         else:
             raise RuntimeError(f"x == y after 100 redraws in chunk {chunk_idx} of seed {seed}")
-        fx = evaluate_many(spec, draw, x, order)
-        fy = evaluate_many(spec, draw, y, order)
-        out[done:done + k] = (x - y) ** 2 + (fx - fy) ** 2
+        f = evaluate_many(spec, draw, np.concatenate([x, y]), order)
+        out[done:done + k] = (x - y) ** 2 + (f[:k] - f[k:]) ** 2
         done += k
         chunk_idx += 1
     return out
@@ -230,8 +220,8 @@ def energy_estimate(spec: FunctionSpec, draw: CoefficientDraw, t: float,
     if n_pairs < 1000:
         raise ValueError(f"need >= 1000 pairs, got {n_pairs}")
     order = draw.order if order is None else order
-    d2 = _pair_distances_sq(spec, draw, order, n_pairs, seed, "energy")
-    w = d2 ** (-0.5 * t)
+    w = _pair_distances_sq(spec, draw, order, n_pairs, seed, "energy")
+    w **= -0.5 * t   # in place, and the same scalar-power paths as **
     value = float(w.mean())
     se = float(w.std(ddof=1) / math.sqrt(n_pairs))
     nq = n_pairs // 4

@@ -12,8 +12,11 @@ geometrically.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -52,10 +55,6 @@ class BaseFunction:
         if self.kind == "cos2":
             return np.cos(TWO_PI * t) + 0.5 * np.cos(2.0 * TWO_PI * t)
         raise ValueError(f"unknown base function kind {self.kind!r}")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return self.sample(np.mod(x, 1.0))
 
 
 def _certified_sup(values: np.ndarray) -> float:
@@ -383,21 +382,66 @@ def reduced_arguments(spec: FunctionSpec, n: int, xs) -> np.ndarray:
 # evaluation and sampling
 # ---------------------------------------------------------------------------
 
+_WORKER_THREADS = contextvars.ContextVar("wlab_worker_threads", default=1)
+_MIN_CHUNK = 1 << 14   # fewest points worth a thread of their own
+_BLOCK = 1 << 15       # most points one level pass of evaluate_many touches
+
+
+@contextlib.contextmanager
+def worker_threads(n: int):
+    """Let evaluate_many use up to n threads inside this context (default 1).
+
+    The setting is a context variable, so it is restored on exit and does not
+    leak into later calls or other threads.
+    """
+    if n < 1:
+        raise ValueError(f"worker thread count must be >= 1, got {n}")
+    token = _WORKER_THREADS.set(int(n))
+    try:
+        yield
+    finally:
+        _WORKER_THREADS.reset(token)
+
+
 def evaluate_many(spec: FunctionSpec, draw: CoefficientDraw, xs, order: int) -> np.ndarray:
-    """Partial sum over n < order of values[n] * g(b_n x + theta_n) at each x."""
+    """Partial sum over n < order of values[n] * g(b_n x + theta_n) at each x.
+
+    The flattened input is cut into one contiguous chunk per worker thread
+    (see worker_threads), with fewer threads when a chunk would hold under
+    2^14 points; a single chunk runs on the calling thread.  Each chunk is
+    walked in blocks of at most 2^15 points, and a block adds the levels
+    into its slice of the output in order n = 0, 1, ..., so every point sums
+    its terms in the same order and the result has the same bits for any
+    thread count and block size.  The result has the shape of
+    np.atleast_1d(xs).
+    """
     if order > draw.order:
         raise ValueError(f"order {order} exceeds draw.order {draw.order}")
     max_order = spec.freq.max_order
     if max_order is not None and order > max_order:
         raise ValueError(f"order {order} exceeds the {max_order} explicit frequencies")
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    acc = np.zeros_like(xs)
-    for n in range(order):
-        c = draw.values[n]
-        if c == 0.0:
-            continue
-        acc += c * spec.g.sample(reduced_arguments(spec, n, xs))
-    return acc
+    flat = xs.ravel()
+    out = np.zeros(flat.size)
+    terms = [(n, c) for n, c in enumerate(draw.values[:order]) if c != 0.0]
+
+    def run(lo: int, hi: int) -> None:
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            block, acc = flat[start:stop], out[start:stop]
+            for n, c in terms:
+                s = spec.g.sample(reduced_arguments(spec, n, block))
+                s *= c
+                acc += s
+
+    workers = min(_WORKER_THREADS.get(), flat.size // _MIN_CHUNK)
+    if workers <= 1:
+        run(0, flat.size)
+    else:
+        bounds = [i * flat.size // workers for i in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, bounds[:-1], bounds[1:]))
+    return out.reshape(xs.shape)
 
 
 def evaluate(spec: FunctionSpec, draw: CoefficientDraw, x: float, order: int) -> float:

@@ -12,6 +12,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
+from wlab import fn_core
+
 
 def mp_eval_series(spec, values, x, order, dps=None):
     """High-precision sum of values[n] * g(b_n x + theta_n), n < order."""
@@ -34,6 +36,22 @@ def mp_eval_series(spec, values, x, order, dps=None):
                 raise ValueError(spec.g.kind)
             total += mp.mpf(values[n]) * gval
         return float(total)
+
+
+def evaluate_levels(spec, draw, xs, order):
+    """The series sum over the whole array at once, one reduction call per level.
+
+    The unblocked, single-threaded form of fn_core.evaluate_many, which must
+    match it bit for bit.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    acc = np.zeros_like(xs)
+    for n in range(order):
+        c = draw.values[n]
+        if c == 0.0:
+            continue
+        acc += c * spec.g.sample(fn_core.reduced_arguments(spec, n, xs))
+    return acc
 
 
 def brute_near_level_bits(g_callable, eps, resolution):

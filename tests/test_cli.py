@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from wlab import fn_core
 from wlab.cli import main
 
 
@@ -215,3 +216,67 @@ def test_threads_env_fallback(runner, tmp_path):
     assert r.exit_code == 0, r.output
     doc = json.loads(out.read_text())
     assert len(doc["seed_slopes"]) == 2
+
+
+def _assert_missing_dir_error(result):
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+    assert "does not exist" in lines[0]
+
+
+def test_gen_output_in_missing_directory_is_a_config_error(runner, tmp_path):
+    result = runner.invoke(main, ["gen", "--points", "16",
+                                  "--output", str(tmp_path / "missing" / "g.csv")])
+    _assert_missing_dir_error(result)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cover_pbm_output_in_missing_directory_leaves_nothing(runner, tmp_path):
+    result = runner.invoke(main, ["cover", "--resolution", "128", "--n-max", "3", "--pbm",
+                                  "--output", str(tmp_path / "missing" / "c.csv")])
+    _assert_missing_dir_error(result)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_all_report_in_missing_directory_is_a_config_error(runner, tmp_path):
+    result = runner.invoke(main, ["verify-all", "--profile", "quick", "--criteria", "3",
+                                  "--report", str(tmp_path / "missing" / "r.json")])
+    _assert_missing_dir_error(result)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, files", [
+    (["occ", "--samples", "65536", "--output", "density.csv"],
+     ["density.csv", "density_parseval.json"]),
+    (["energy", "--pairs", "40000", "--seeds", "2", "--output", "energy.csv"], ["energy.csv"]),
+], ids=["occ", "energy"])
+def test_artifacts_identical_for_any_thread_count(runner, tmp_path, command, files):
+    runs = {"flag-1": (["--threads", "1"], {}), "flag-2": (["--threads", "2"], {}),
+            "env-2": ([], {"WLAB_THREADS": "2"})}
+    for name, (args, env) in runs.items():
+        d = tmp_path / name
+        d.mkdir()
+        out = command[:-1] + [str(d / command[-1])]
+        r = runner.invoke(main, out + args, env=env)
+        assert r.exit_code == 0, r.output
+    for f in files:
+        want = (tmp_path / "flag-1" / f).read_bytes()
+        for name in ("flag-2", "env-2"):
+            assert (tmp_path / name / f).read_bytes() == want, (name, f)
+
+
+def test_thread_setting_ends_with_the_command(runner, tmp_path, monkeypatch):
+    seen = []
+    sample_graph = fn_core.sample_graph
+
+    def recording(*args, **kwargs):
+        seen.append(fn_core._WORKER_THREADS.get())
+        return sample_graph(*args, **kwargs)
+
+    monkeypatch.setattr(fn_core, "sample_graph", recording)
+    r = runner.invoke(main, ["gen", "--points", "16", "--threads", "2",
+                             "--output", str(tmp_path / "g.csv")])
+    assert r.exit_code == 0, r.output
+    assert seen == [2]
+    assert fn_core._WORKER_THREADS.get() == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from wlab.fn_core import (
     draw_coefficients,
     geometric,
     sample_graph,
+    worker_threads,
     zero_draw,
 )
 from wlab.rng import substream
@@ -166,10 +168,14 @@ def test_geometric_scales_ladder():
 
 
 def test_scan_threads_deterministic():
+    # 3 * 2^14 + 1 samples: three worker threads each get a chunk
     spec = build_spec(0.8, geometric(2.0))
     scales = [2.0 ** -k for k in range(4, 8)]
-    a = box_dimension_scan(spec, seeds=[1, 2, 3], scales=scales, threads=1)
-    b = box_dimension_scan(spec, seeds=[1, 2, 3], scales=scales, threads=3)
+    m = 3 * (1 << 14) + 1
+    with worker_threads(1):
+        a = box_dimension_scan(spec, seeds=[1, 2, 3], scales=scales, m=m)
+    with worker_threads(3):
+        b = box_dimension_scan(spec, seeds=[1, 2, 3], scales=scales, m=m)
     assert a == b
 
 
@@ -182,6 +188,20 @@ def test_energy_t_zero_exact():
     est = energy_estimate(spec, zero_draw(), 0.0, 10 ** 4, seed=3)
     assert est.value == 1.0
     assert est.std_error == 0.0
+
+
+def test_energy_estimate_temporaries():
+    # the pair distances are raised to -t/2 in place, so only numpy's
+    # one-array temporary of the standard error comes on top of them
+    n = 1 << 20
+    spec = build_spec(0.8, geometric(2.0))
+    tracemalloc.start()
+    try:
+        energy_estimate(spec, zero_draw(), 0.5, n, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * 8 * n, peak / (8 * n)
 
 
 def test_energy_flat_closed_form():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from wlab.fn_core import (
     geometric,
     sample_graph,
     truncation_order,
+    worker_threads,
     zero_draw,
 )
 
@@ -34,22 +36,16 @@ import oracles
 
 @pytest.mark.parametrize("g", [COS, COS_PLUS_HALF], ids=["cos", "cos2"])
 class TestBaseFunction:
-    def test_periodicity(self, g):
-        xs = np.linspace(-3.0, 3.0, 10_001)
-        a = g(xs)
-        b = g(xs + 1.0)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
-
     def test_lipschitz_on_grid(self, g):
         xs = np.linspace(0.0, 1.0, 10_000)
-        vals = g(xs)
+        vals = g.sample(xs)
         diffs = np.abs(np.diff(vals))
         steps = np.diff(xs)
         assert np.all(diffs <= g.lipschitz * steps + 1e-12)
 
     def test_sup_bound_on_grid(self, g):
         xs = np.linspace(0.0, 1.0, 10_000)
-        assert np.all(np.abs(g(xs)) <= g.sup_abs + 1e-12)
+        assert np.all(np.abs(g.sample(xs)) <= g.sup_abs + 1e-12)
 
 
 def test_cos2_lipschitz_is_the_true_supremum():
@@ -317,6 +313,71 @@ def test_non_finite_x_gives_nan(freq, phases):
     assert np.array_equal(ys[finite], evaluate_many(spec, draw, xs[finite], 10))
     for x, y in zip(xs[finite], ys[finite]):
         assert y == pytest.approx(oracles.mp_eval_series(spec, draw.values, x, 10), abs=1e-13)
+
+
+def _kernel_inputs(shape, seed):
+    # uniform x in [0, 1) with a few tiny x (wide lane), nan and +-inf mixed in
+    rng = np.random.default_rng(seed)
+    xs = rng.random(shape)
+    flat = xs.reshape(-1)
+    special = rng.permutation(flat.size)[:min(flat.size, 64)]
+    flat[special[:40]] *= 2.0 ** -12
+    flat[special[40:60:3]] = np.nan
+    flat[special[41:60:3]] = np.inf
+    flat[special[42:60:3]] = -np.inf
+    return xs
+
+
+_KERNEL_CASES = [
+    pytest.param(build_spec(0.8, geometric(2.0)), 24, size, id=f"b2-{size}")
+    for size in (0, 1, (1 << 14) - 1, (1 << 15) + 1, 2 * (1 << 14) + 3, 3 * (1 << 15) + 7)
+] + [
+    pytest.param(build_spec(0.8, geometric(2.0)), 24, (96, 512), id="b2-2d"),
+    pytest.param(build_spec(0.8, geometric(2.5)), 14, 2 * (1 << 14) + 3, id="b2.5"),
+    pytest.param(build_spec(0.8, explicit([2.0 ** n for n in range(20)], 2.0),
+                            phases=(0.1, 0.25, 0.4, 0.7, 0.05, 0.9), g=COS_PLUS_HALF),
+                 20, 3 * (1 << 15) + 7, id="cos2-bseq-phased"),
+]
+
+
+@pytest.mark.parametrize("spec, order, shape", _KERNEL_CASES)
+def test_evaluate_many_matches_whole_array_levels_bit_for_bit(spec, order, shape):
+    draw = draw_coefficients(spec, 3, order)
+    xs = _kernel_inputs(shape, 11)
+    want = oracles.evaluate_levels(spec, draw, xs, order).view(np.uint64)
+    for threads in (1, 2, 3):
+        with worker_threads(threads):
+            got = evaluate_many(spec, draw, xs, order)
+        assert got.shape == xs.shape
+        assert np.array_equal(got.view(np.uint64), want), threads
+
+
+def test_worker_threads_is_restored_and_checked():
+    assert fn_core._WORKER_THREADS.get() == 1
+    with worker_threads(3):
+        assert fn_core._WORKER_THREADS.get() == 3
+        with worker_threads(2):
+            assert fn_core._WORKER_THREADS.get() == 2
+        assert fn_core._WORKER_THREADS.get() == 3
+    assert fn_core._WORKER_THREADS.get() == 1
+    with pytest.raises(ValueError, match=">= 1"):
+        with worker_threads(0):
+            pass
+
+
+def test_evaluate_many_temporaries_stay_below_two_outputs():
+    # levels run over blocks of at most 2^15 points, so besides the output
+    # array only block-sized temporaries are live
+    spec = build_spec(0.8, geometric(2.0))
+    draw = draw_coefficients(spec, 1, 8)
+    xs = np.random.default_rng(0).random(1 << 18)
+    tracemalloc.start()
+    try:
+        evaluate_many(spec, draw, xs, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * xs.nbytes, peak / xs.nbytes
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),

@@ -13,7 +13,15 @@ compared with ``diff``.  Run it from a checkout's root:
     PYTHONPATH=src python3 tools/artifact_digests.py
 
 To compare two trees, run this same script file from each tree's root and
-diff the outputs.
+diff the outputs.  To check that the thread count changes no byte, run it
+twice in one tree and diff:
+
+    WLAB_THREADS=1 PYTHONPATH=src python3 tools/artifact_digests.py > t1.txt
+    WLAB_THREADS=2 PYTHONPATH=src python3 tools/artifact_digests.py > t2.txt
+    diff t1.txt t2.txt
+
+`WLAB_THREADS` sets `--threads` of every command run here but `verify-all`,
+which has no such option; the library-only writers run on one thread.
 """
 
 from __future__ import annotations
