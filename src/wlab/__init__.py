@@ -18,7 +18,6 @@ from .fn_core import (
     default_tolerance,
     dimension_formula,
     draw_coefficients,
-    evaluate,
     evaluate_many,
     explicit,
     geometric,
@@ -32,7 +31,6 @@ from .covering import (
     FirstHitDecomposition,
     GridSet,
     cover_count,
-    cover_curve,
     decay_fit,
     first_hit_sets,
     intersection_sequence,
@@ -45,11 +43,9 @@ from .dimension import (
     DimensionEstimate,
     EnergyEstimate,
     box_count,
-    box_dimension_estimate,
     box_dimension_scan,
     energy_estimate,
     energy_threshold_scan,
-    geometric_scales,
 )
 from .occupation import (
     AliasingError,

@@ -53,12 +53,6 @@ class GridSet:
     def measure(self) -> float:
         return float(np.count_nonzero(self.bits)) / float(self.bits.size)
 
-    def __and__(self, other: "GridSet") -> "GridSet":
-        return GridSet(self.bits & other.bits)
-
-    def __or__(self, other: "GridSet") -> "GridSet":
-        return GridSet(self.bits | other.bits)
-
     def __xor__(self, other: "GridSet") -> "GridSet":
         return GridSet(self.bits ^ other.bits)
 
@@ -112,14 +106,6 @@ class GridSet:
         with open(path, "wb") as fh:
             fh.write(f"P1\n{m} {m}\n".encode())
             fh.write(rows.data)
-
-    @classmethod
-    def full(cls, resolution: int) -> "GridSet":
-        return cls(np.ones((resolution, resolution), dtype=bool))
-
-    @classmethod
-    def empty(cls, resolution: int) -> "GridSet":
-        return cls(np.zeros((resolution, resolution), dtype=bool))
 
 
 def cell_centers(resolution: int) -> np.ndarray:
@@ -214,15 +200,6 @@ def cover_count(s: GridSet, delta: float) -> int:
     return int(np.count_nonzero(hit))
 
 
-def cover_curve(s: GridSet, deltas) -> list:
-    """Empirical (delta, count, count*delta) curve; the N <= C/delta surrogate."""
-    out = []
-    for d in deltas:
-        n = cover_count(s, d)
-        out.append((float(d), n, n * float(d)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # iterated scaled intersections
 # ---------------------------------------------------------------------------
@@ -240,7 +217,7 @@ def _level_cap(spec: FunctionSpec, n: int, resolution: int) -> int:
     if spec.freq.max_order is not None:
         cap = min(cap, spec.freq.max_order - 1)
     for j in range(1, cap + 1):
-        if spec.freq.value_float(j) > resolution / CELLS_PER_OSCILLATION:
+        if spec.freq.value(j) > resolution / CELLS_PER_OSCILLATION:
             cap = j - 1
             break
     if cap < n:
@@ -299,11 +276,10 @@ class CoverParams:
     depth: int
     rate: float
     valid: bool
-    epsilon: float = math.nan
 
 
 def shrink_rate_bound(n_squares: int, delta: float, ratio: float,
-                      mode: str = "general", epsilon: float = math.nan) -> CoverParams:
+                      mode: str = "general") -> CoverParams:
     """Rate with measure(iterate n) < C * rate^n, from an N-square cover.
 
     general mode picks the depth k with ratio^(k-1) <= 2/delta < ratio^k and
@@ -335,7 +311,7 @@ def shrink_rate_bound(n_squares: int, delta: float, ratio: float,
             stacklevel=2,
         )
     return CoverParams(delta=float(delta), n_squares=int(n_squares), depth=depth,
-                       rate=float(rate), valid=valid, epsilon=float(epsilon))
+                       rate=float(rate), valid=valid)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +365,6 @@ class FirstHitDecomposition:
     drives the occupation-density argument.
     """
 
-    epsilon: float
     resolution: int
     n_max_effective: int
     first: np.ndarray = field(repr=False)
@@ -454,7 +429,6 @@ def first_hit_sets(spec: FunctionSpec, epsilon: float, n_max: int,
         partial_sums.append(total)
 
     return FirstHitDecomposition(
-        epsilon=float(epsilon),
         resolution=m,
         n_max_effective=n_eff,
         first=first,

@@ -81,20 +81,18 @@ class DimensionEstimate:
     r2: float
     predicted_d: float
     intercept: float
-    seed_slopes: tuple | None = None
+    seed_slopes: tuple
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "scales": list(self.scales),
             "counts": list(self.counts),
             "slope": self.slope,
             "r2": self.r2,
             "predicted_d": self.predicted_d,
             "intercept": self.intercept,
+            "seed_slopes": list(self.seed_slopes),
         }
-        if self.seed_slopes is not None:
-            d["seed_slopes"] = list(self.seed_slopes)
-        return d
 
     def write_counts_csv(self, path) -> None:
         write_rows(path, ("eps", "count"),
@@ -110,38 +108,26 @@ def _check_scales(scales) -> np.ndarray:
     return arr
 
 
-def box_dimension_estimate(sample: GraphSample, scales, spec: FunctionSpec | None = None,
-                           min_points_per_column: int = 8) -> DimensionEstimate:
-    """Fit the box-counting slope of one sampled graph across the given scales."""
-    arr = _check_scales(scales)
-    counts = [box_count(sample, e, min_points_per_column) for e in arr]
-    slope, intercept, r2 = fit_line(-np.log(arr), np.log(np.asarray(counts, dtype=np.float64)))
-    predicted = dimension_formula(spec) if spec is not None else math.nan
-    return DimensionEstimate(scales=tuple(arr), counts=tuple(counts), slope=slope,
-                             r2=r2, predicted_d=predicted, intercept=intercept)
-
-
-def geometric_scales(spec: FunctionSpec, n_lo: int, n_hi: int) -> list:
-    """Scales 1/b_n for n_lo <= n <= n_hi (the natural ladder for geometric b)."""
-    return [1.0 / spec.freq.value_float(n) for n in range(n_lo, n_hi + 1)]
-
-
-def box_dimension_scan(spec: FunctionSpec, seeds, scales, m: int | None = None,
-                       tol: float | None = None, min_points_per_column: int = 8) -> DimensionEstimate:
+def box_dimension_scan(spec: FunctionSpec, seeds, scales, m: int | None = None) -> DimensionEstimate:
     """Seed-averaged box dimension: fit the mean of log N(eps) over draws.
 
-    The least-squares slope is linear in log N, so this equals the mean of
-    the per-seed slopes; both are reported.
+    Each draw is truncated at the spec's effective order and sampled at m
+    points, by default box_count's 8 per column of the finest scale.  The
+    least-squares slope is linear in log N, so this equals the mean of the
+    per-seed slopes; both are reported.
     """
     arr = _check_scales(scales)
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     if m is None:
-        m = int(round(min_points_per_column / float(arr[-1]))) + 1
-    order = effective_order(spec, tol)
+        m = int(round(8 / float(arr[-1]))) + 1
+    order = effective_order(spec)
 
     def one_seed(seed):
         draw = draw_coefficients(spec, seed, order)
-        sample = sample_graph(spec, draw, m, tol)
-        return [box_count(sample, e, min_points_per_column) for e in arr]
+        sample = sample_graph(spec, draw, m)
+        return [box_count(sample, e) for e in arr]
 
     log_counts = np.log(np.asarray([one_seed(s) for s in seeds], dtype=np.float64))
     mean_logs = log_counts.mean(axis=0)
@@ -171,14 +157,13 @@ class EnergyEstimate:
     value: float
     std_error: float
     n_pairs: int
-    quarter_value: float | None = None
     growth: float | None = None
-    max_share: float | None = None
     tail_index: float | None = None
     verdict: str | None = None
 
 
 _CHUNK = 1 << 16
+_MIN_PAIRS = 1000
 
 
 def _pair_distances_sq(spec: FunctionSpec, draw: CoefficientDraw, order: int,
@@ -217,22 +202,14 @@ def energy_estimate(spec: FunctionSpec, draw: CoefficientDraw, t: float,
     """
     if not 0.0 <= t < 2.0:
         raise ValueError(f"t must lie in [0, 2), got {t}")
-    if n_pairs < 1000:
-        raise ValueError(f"need >= 1000 pairs, got {n_pairs}")
+    if n_pairs < _MIN_PAIRS:
+        raise ValueError(f"need >= {_MIN_PAIRS} pairs, got {n_pairs}")
     order = draw.order if order is None else order
     w = _pair_distances_sq(spec, draw, order, n_pairs, seed, "energy")
     w **= -0.5 * t   # in place, and the same scalar-power paths as **
     value = float(w.mean())
     se = float(w.std(ddof=1) / math.sqrt(n_pairs))
-    nq = n_pairs // 4
-    return EnergyEstimate(
-        t=t,
-        value=value,
-        std_error=se,
-        n_pairs=n_pairs,
-        quarter_value=float(w[:nq].mean()) if nq else None,
-        max_share=float(w.max() / w.sum()),
-    )
+    return EnergyEstimate(t=t, value=value, std_error=se, n_pairs=n_pairs)
 
 
 # Divergence rule: the integrand's tail obeys P(w > s) ~ s^(-alpha) with
@@ -274,20 +251,24 @@ def energy_threshold_scan(spec: FunctionSpec, t_grid, n_pairs: int, seeds,
     """Seed-averaged energy profile with a stable/diverging verdict per t.
 
     Diagnostics per t: the growth of the estimate from n_pairs/4 pairs (a
-    prefix of the same stream) to n_pairs, the largest single term's share
-    of the pooled sum, and a pooled Hill tail index.  A tail index below 1
-    (infinite mean) marks t as diverging, and so does systematic significant
-    growth unless the tail index is significantly above 1.
+    prefix of the same stream) to n_pairs, and a pooled Hill tail index.  A
+    tail index below 1 (infinite mean) marks t as diverging, and so does
+    systematic significant growth unless the tail index is significantly
+    above 1.  Needs at least 1000 pairs and one seed.
     """
     t_grid = [float(t) for t in t_grid]
     for t in t_grid:
         if not 1.0 < t < 2.0:
             raise ValueError(f"scan t values must lie in (1, 2), got {t}")
+    if n_pairs < _MIN_PAIRS:
+        raise ValueError(f"need >= {_MIN_PAIRS} pairs, got {n_pairs}")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     if not t_grid:
         return []
-    seeds = list(seeds)
     order = effective_order(spec) if order is None else order
-    nq = max(1, n_pairs // 4)
+    nq = n_pairs // 4
 
     d2_all = []
     for seed in seeds:
@@ -296,20 +277,18 @@ def energy_threshold_scan(spec: FunctionSpec, t_grid, n_pairs: int, seeds,
 
     out = []
     k = len(seeds)
+    w = np.empty(n_pairs)
+    keep = min(_HILL_TOP + 1, n_pairs)
     for t in t_grid:
         fulls = np.empty(k)
         quarters = np.empty(k)
-        pooled_max = 0.0
-        pooled_sum = 0.0
         top_blocks = []
         for i, d2 in enumerate(d2_all):
-            w = d2 ** (-0.5 * t)
+            np.power(d2, -0.5 * t, out=w)  # what d2 ** (-t/2) calls: no fast path for t in (1, 2)
             fulls[i] = w.mean()
             quarters[i] = w[:nq].mean()
-            pooled_max = max(pooled_max, float(w.max()))
-            pooled_sum += float(w.sum())
-            keep = min(_HILL_TOP + 1, w.size)
-            top_blocks.append(np.partition(w, w.size - keep)[-keep:])
+            w.partition(n_pairs - keep)
+            top_blocks.append(w[-keep:].copy())
         value = float(fulls.mean())
         se = float(fulls.std(ddof=1) / math.sqrt(k)) if k > 1 else math.nan
         log_growth = np.log(fulls / quarters)
@@ -318,8 +297,7 @@ def energy_threshold_scan(spec: FunctionSpec, t_grid, n_pairs: int, seeds,
         tail_index = _hill_tail_index(np.concatenate(top_blocks), _HILL_TOP)
         out.append(EnergyEstimate(
             t=t, value=value, std_error=se, n_pairs=n_pairs,
-            quarter_value=float(quarters.mean()), growth=growth,
-            max_share=pooled_max / pooled_sum, tail_index=tail_index,
+            growth=growth, tail_index=tail_index,
             verdict=_energy_verdict(tail_index, growth, growth_se),
         ))
     return out

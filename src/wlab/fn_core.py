@@ -122,9 +122,6 @@ class GeometricFrequencies:
             return int(self.b) ** n
         return _rational_power(self.b, n)
 
-    def value_float(self, n: int) -> float:
-        return float(self.b) ** n
-
 
 @dataclass(frozen=True)
 class ExplicitFrequencies:
@@ -158,9 +155,6 @@ class ExplicitFrequencies:
             raise ValueError(f"level {n} is past the {len(self.b_seq)} explicit frequencies")
         v = self.b_seq[n]
         return int(v) if v.is_integer() else Fraction(v)
-
-    def value_float(self, n: int) -> float:
-        return float(self.value(n))
 
 
 def geometric(b: float) -> GeometricFrequencies:
@@ -264,9 +258,6 @@ class CoefficientDraw:
     @property
     def order(self) -> int:
         return len(self.values)
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
 
 
 def draw_coefficients(spec: FunctionSpec, seed: int, order: int) -> CoefficientDraw:
@@ -442,10 +433,6 @@ def evaluate_many(spec: FunctionSpec, draw: CoefficientDraw, xs, order: int) -> 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, bounds[:-1], bounds[1:]))
     return out.reshape(xs.shape)
-
-
-def evaluate(spec: FunctionSpec, draw: CoefficientDraw, x: float, order: int) -> float:
-    return float(evaluate_many(spec, draw, np.asarray([x]), order)[0])
 
 
 @dataclass(frozen=True)

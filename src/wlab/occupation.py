@@ -96,7 +96,6 @@ class FourierProfile:
 
     us: np.ndarray
     values: np.ndarray
-    quadrature_points: int
 
     def abs_sq(self) -> np.ndarray:
         return np.abs(self.values) ** 2
@@ -117,7 +116,7 @@ def fourier_transform(sample: GraphSample, us) -> FourierProfile:
     for start in range(0, us.size, chunk):
         block = us[start:start + chunk]
         values[start:start + chunk] = np.exp(1j * np.outer(block, ys)).mean(axis=1)
-    return FourierProfile(us=us, values=values, quadrature_points=len(ys))
+    return FourierProfile(us=us, values=values)
 
 
 def _extend(z: np.ndarray, w: np.ndarray, pos: list, steps: int) -> None:
@@ -127,12 +126,12 @@ def _extend(z: np.ndarray, w: np.ndarray, pos: list, steps: int) -> None:
         pos.append(z.mean())
 
 
-def _symmetric_profile(pos: list, du: float, quadrature_points: int) -> FourierProfile:
+def _symmetric_profile(pos: list, du: float) -> FourierProfile:
     """Profile on u = -K du..K du from its K positive values; mu_hat(-u) = conj(mu_hat(u))."""
     pos = np.asarray(pos, dtype=np.complex128)
     us = du * np.arange(-len(pos), len(pos) + 1)
     values = np.concatenate([np.conj(pos[::-1]), [1.0 + 0.0j], pos])
-    return FourierProfile(us=us, values=values, quadrature_points=quadrature_points)
+    return FourierProfile(us=us, values=values)
 
 
 def char_function_profile(sample: GraphSample, du: float, u_max: float) -> FourierProfile:
@@ -148,7 +147,7 @@ def char_function_profile(sample: GraphSample, du: float, u_max: float) -> Fouri
     w = np.exp(1j * du * sample.ys)
     pos = []
     _extend(np.ones_like(w), w, pos, n_steps)
-    return _symmetric_profile(pos, du, len(sample.ys))
+    return _symmetric_profile(pos, du)
 
 
 def adaptive_char_profile(sample: GraphSample, du: float, decay_target: float = 1e-4,
@@ -165,9 +164,9 @@ def adaptive_char_profile(sample: GraphSample, du: float, decay_target: float = 
     _extend(z, w, pos, n_steps)
     while not max(abs(v) ** 2 for v in pos[len(pos) // 2:]) < decay_target:
         if len(pos) * du >= u_cap:
-            return _symmetric_profile(pos, du, len(sample.ys)), False
+            return _symmetric_profile(pos, du), False
         _extend(z, w, pos, len(pos))  # double the range
-    return _symmetric_profile(pos, du, len(sample.ys)), True
+    return _symmetric_profile(pos, du), True
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +262,6 @@ def _sinc(z: np.ndarray) -> np.ndarray:
 class SincFactors:
     """Factors sin(u h_n)/(u h_n) for the increment half-widths h_n = a^n dg_n."""
 
-    x: float
-    y: float
-    u: float
     half_widths: np.ndarray
     factors: np.ndarray
     product: float
@@ -305,8 +301,7 @@ def sinc_product(spec: FunctionSpec, x: float, y: float, u: float, order: int) -
     factors = _sinc(u * hw)
     zt = abs(u) * 2.0 * spec.g.sup_abs * spec.a ** order
     tail_lb = 1.0 - zt * zt / (6.0 * (1.0 - spec.a ** 2))
-    return SincFactors(x=float(x), y=float(y), u=float(u), half_widths=hw,
-                       factors=factors, product=float(np.prod(factors)),
+    return SincFactors(half_widths=hw, factors=factors, product=float(np.prod(factors)),
                        tail_lower_bound=float(tail_lb))
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -85,6 +86,22 @@ def test_boxdim_precondition_exit(runner, tmp_path):
         "--output", str(tmp_path / "box.json"),
     ])
     assert result.exit_code == 3  # fewer than 4 scales
+
+
+@pytest.mark.parametrize("args, named", [
+    (["energy", "--pairs", "1"], "pairs"),
+    (["energy", "--seeds", "0"], "seed"),
+    (["boxdim", "--seeds", "0"], "seed"),
+], ids=["energy-pairs", "energy-seeds", "boxdim-seeds"])
+def test_scan_sizes_it_cannot_use_exit_3(runner, tmp_path, args, named):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, args + ["--output", str(out)])
+    assert result.exit_code == 3, result.output
+    assert named in result.output
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
 
 
 def test_energy_csv(runner, tmp_path):

@@ -14,7 +14,6 @@ from wlab.covering import (
     _far_mask,
     cell_centers,
     cover_count,
-    cover_curve,
     decay_fit,
     first_hit_sets,
     intersection_sequence,
@@ -32,13 +31,21 @@ def _spec_08_2():
     return build_spec(0.8, geometric(2.0))
 
 
+def _full(m):
+    return GridSet(np.ones((m, m), dtype=bool))
+
+
+def _empty(m):
+    return GridSet(np.zeros((m, m), dtype=bool))
+
+
 # ---------------------------------------------------------------------------
 # GridSet algebra
 # ---------------------------------------------------------------------------
 
 def test_measure_full_empty_half():
-    assert GridSet.full(32).measure() == 1.0
-    assert GridSet.empty(32).measure() == 0.0
+    assert _full(32).measure() == 1.0
+    assert _empty(32).measure() == 0.0
     bits = np.zeros((32, 32), dtype=bool)
     bits[:16, :] = True
     assert GridSet(bits).measure() == 0.5
@@ -203,11 +210,11 @@ def test_near_level_parameter_validation():
 # ---------------------------------------------------------------------------
 
 def test_cover_count_full_square():
-    assert cover_count(GridSet.full(64), 0.25) == 16
+    assert cover_count(_full(64), 0.25) == 16
 
 
 def test_cover_count_empty():
-    assert cover_count(GridSet.empty(64), 0.25) == 0
+    assert cover_count(_empty(64), 0.25) == 0
 
 
 def test_cover_count_diagonal_band():
@@ -220,7 +227,7 @@ def test_cover_count_diagonal_band():
 
 def test_cover_count_rejects_subcell_delta():
     with pytest.raises(ValueError):
-        cover_count(GridSet.full(16), 1.0 / 32.0)
+        cover_count(_full(16), 1.0 / 32.0)
 
 
 @given(arrays(bool, (16, 16)), st.sampled_from([1.0 / 4, 1.0 / 8, 1.0 / 16, 0.3]))
@@ -235,11 +242,6 @@ def test_cover_count_matches_brute_force(bits, delta):
 def test_cover_consistency(bits, delta):
     s = GridSet(bits)
     assert cover_count(s, delta) * delta ** 2 >= s.measure() - 1e-12
-
-
-def test_cover_curve_shape():
-    curve = cover_curve(GridSet.full(32), [0.5, 0.25])
-    assert curve == [(0.5, 4, 2.0), (0.25, 16, 4.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +269,7 @@ def test_iterated_intersection_n0_is_identity():
 
 def test_iterated_intersection_full_square_fixed_point():
     spec = _spec_08_2()
-    a = GridSet.full(64)
+    a = _full(64)
     sets, measures, _ = _levels(a, spec, 4)
     assert sets == [a] * 5
     assert measures == [1.0] * 5
@@ -540,12 +542,9 @@ def test_explicit_sequence_caps_at_available_levels():
 
 
 def test_levels_past_explicit_frequencies_are_value_errors():
-    from wlab.dimension import geometric_scales
     from wlab.fn_core import explicit
     from wlab.occupation import sinc_product
 
     spec = build_spec(0.75, explicit([1, 2, 4, 8, 16], 2.0))
     with pytest.raises(ValueError, match="5 explicit frequencies"):
         sinc_product(spec, 0.1, 0.3, 1.0, 7)
-    with pytest.raises(ValueError, match="5 explicit frequencies"):
-        geometric_scales(spec, 1, 6)

@@ -10,17 +10,16 @@ from wlab.dimension import (
     DensityError,
     _energy_verdict,
     box_count,
-    box_dimension_estimate,
     box_dimension_scan,
     energy_estimate,
     energy_threshold_scan,
-    geometric_scales,
     write_scan_csv,
 )
 from wlab.fn_core import (
     GraphSample,
     build_spec,
     draw_coefficients,
+    fit_line,
     geometric,
     sample_graph,
     worker_threads,
@@ -39,6 +38,12 @@ def _flat_sample(m):
 def _line_sample(m):
     xs = np.arange(m) / m
     return GraphSample(xs=xs, ys=xs.copy(), truncation_order=0, tail_bound=0.0)
+
+
+def _box_slope(sample, scales):
+    """Box counts at the scales and the slope of log N(eps) against -log eps."""
+    counts = [box_count(sample, e) for e in scales]
+    return counts, fit_line(-np.log(scales), np.log(counts))[0]
 
 
 def _walk_sample(rng, n, eps):
@@ -110,24 +115,21 @@ def test_box_count_scale_halving_property(seed):
     assert small >= big  # refining the grid can only add boxes
 
 
-def test_box_dimension_estimate_line_and_flat():
+def test_box_slope_line_and_flat():
     scales = [2.0 ** -k for k in range(3, 9)]
     m = 2 ** 15
     for s in (_line_sample(m), _flat_sample(m)):
-        est = box_dimension_estimate(s, scales)
-        assert est.slope == pytest.approx(1.0, abs=0.02)
-        assert math.isnan(est.predicted_d)
+        assert _box_slope(s, scales)[1] == pytest.approx(1.0, abs=0.02)
 
 
 def test_box_dimension_counts_monotone_in_scale():
     spec = build_spec(0.8, geometric(2.0))
     draw = draw_coefficients(spec, 5, 96)
     s = sample_graph(spec, draw, 2 ** 15 + 1)
-    est = box_dimension_estimate(s, [2.0 ** -k for k in range(4, 12)], spec=spec)
-    counts = list(est.counts)
-    assert counts == sorted(counts)  # scales stored descending, counts ascending
+    counts, slope = _box_slope(s, [2.0 ** -k for k in range(4, 12)])
+    assert counts == sorted(counts)  # scales descending, counts ascending
     assert all(c > 0 for c in counts)
-    assert 1.0 - 0.05 <= est.slope <= 2.0 + 0.05
+    assert 1.0 - 0.05 <= slope <= 2.0 + 0.05
 
 
 def test_box_dimension_scaling_self_consistency():
@@ -135,9 +137,9 @@ def test_box_dimension_scaling_self_consistency():
     spec = build_spec(0.8, geometric(2.0))
     draw = draw_coefficients(spec, 5, 96)
     s = sample_graph(spec, draw, 2 ** 15 + 1)
-    est = box_dimension_estimate(s, [2.0 ** -k for k in range(5, 12)], spec=spec)
-    for c_big, c_small in zip(est.counts, est.counts[1:]):
-        ratio = c_small / 2.0 ** est.slope
+    counts, slope = _box_slope(s, [2.0 ** -k for k in range(5, 12)])
+    for c_big, c_small in zip(counts, counts[1:]):
+        ratio = c_small / 2.0 ** slope
         assert c_big / 4.0 <= ratio <= c_big * 4.0
 
 
@@ -155,16 +157,11 @@ def test_doubling_density_changes_counts_little():
 
 
 def test_scales_validation():
-    s = _flat_sample(4096)
-    with pytest.raises(ValueError, match="octaves"):
-        box_dimension_estimate(s, [0.5, 0.4, 0.3, 0.25])
-    with pytest.raises(ValueError, match="4 scales"):
-        box_dimension_estimate(s, [0.5, 0.25, 0.125])
-
-
-def test_geometric_scales_ladder():
     spec = build_spec(0.8, geometric(2.0))
-    assert geometric_scales(spec, 3, 5) == [0.125, 0.0625, 0.03125]
+    with pytest.raises(ValueError, match="octaves"):
+        box_dimension_scan(spec, seeds=[1], scales=[0.5, 0.4, 0.3, 0.25])
+    with pytest.raises(ValueError, match="4 scales"):
+        box_dimension_scan(spec, seeds=[1], scales=[0.5, 0.25, 0.125])
 
 
 def test_scan_threads_deterministic():
@@ -259,6 +256,20 @@ def test_scan_rejects_out_of_range_t():
         energy_threshold_scan(spec, [0.5], 10 ** 4, seeds=[1])
     with pytest.raises(ValueError):
         energy_threshold_scan(spec, [2.0], 10 ** 4, seeds=[1])
+
+
+def test_scan_temporaries():
+    # one n-pair array of squared distances per seed plus one working array
+    # of terms; each seed's top order statistics are copied out of it
+    n = 1 << 20
+    spec = build_spec(0.8, geometric(2.0))
+    tracemalloc.start()
+    try:
+        energy_threshold_scan(spec, [1.2, 1.9], n, seeds=[1, 2], order=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * n, peak / (8 * n)
 
 
 def test_scan_verdicts_small_scale():

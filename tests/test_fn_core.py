@@ -17,7 +17,6 @@ from wlab.fn_core import (
     default_tolerance,
     dimension_formula,
     draw_coefficients,
-    evaluate,
     evaluate_many,
     explicit,
     geometric,
@@ -28,6 +27,11 @@ from wlab.fn_core import (
 )
 
 import oracles
+
+
+def _evaluate(spec, draw, x, order):
+    """f truncated at ``order`` at one point, through evaluate_many."""
+    return float(evaluate_many(spec, draw, [x], order)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +203,7 @@ def test_truncation_soundness(o1, o2, seed, x):
     spec = fn_core.FunctionSpec(a=0.7, freq=geometric(2.0))
     draw = draw_coefficients(spec, seed, 31)
     lo = min(o1, o2)
-    gap = abs(evaluate(spec, draw, x, o1) - evaluate(spec, draw, x, o2))
+    gap = abs(_evaluate(spec, draw, x, o1) - _evaluate(spec, draw, x, o2))
     assert gap <= 2.0 * spec.g.sup_abs * spec.a ** lo / (1.0 - spec.a) + 1e-12
 
 
@@ -216,21 +220,21 @@ def test_zero_draw_evaluates_to_zero():
 def test_cosine_at_origin_sums_coefficients():
     spec = build_spec(0.8, geometric(2.0))
     draw = draw_coefficients(spec, 3, 12)
-    assert evaluate(spec, draw, 0.0, 12) == pytest.approx(sum(draw.values), abs=1e-14)
+    assert _evaluate(spec, draw, 0.0, 12) == pytest.approx(sum(draw.values), abs=1e-14)
 
 
 def test_order_beyond_draw_rejected():
     spec = build_spec(0.8, geometric(2.0))
     draw = draw_coefficients(spec, 3, 4)
     with pytest.raises(ValueError):
-        evaluate(spec, draw, 0.5, 5)
+        _evaluate(spec, draw, 0.5, 5)
 
 
 def test_high_precision_oracle_agreement_integer_b():
     spec = build_spec(0.8, geometric(2.0))
     draw = draw_coefficients(spec, 42, 100)
     for x in [0.3, 0.123456789, 1e-13, 0.9999999999, 0.5]:
-        ours = evaluate(spec, draw, x, 100)
+        ours = _evaluate(spec, draw, x, 100)
         ref = oracles.mp_eval_series(spec, draw.values, x, 100)
         assert ours == pytest.approx(ref, abs=1e-10)
 
@@ -239,7 +243,7 @@ def test_high_precision_oracle_agreement_rational_b():
     spec = build_spec(0.6, geometric(2.5))
     draw = draw_coefficients(spec, 5, 40)
     for x in [0.3, 0.77]:
-        ours = evaluate(spec, draw, x, 40)
+        ours = _evaluate(spec, draw, x, 40)
         ref = oracles.mp_eval_series(spec, draw.values, x, 40)
         assert ours == pytest.approx(ref, abs=1e-10)
 
@@ -249,7 +253,7 @@ def test_high_precision_oracle_agreement_explicit_with_phases():
                       phases=(0.1, 0.7, 0.3, 0.9, 0.2))
     draw = draw_coefficients(spec, 9, 5)
     for x in [0.25, 0.8]:
-        ours = evaluate(spec, draw, x, 5)
+        ours = _evaluate(spec, draw, x, 5)
         ref = oracles.mp_eval_series(spec, draw.values, x, 5)
         assert ours == pytest.approx(ref, abs=1e-12)
 
@@ -260,7 +264,7 @@ def test_periodicity_bit_stable_for_integer_b():
     draw = draw_coefficients(spec, 11, 60)
     for k in [1, 5, 999_999]:
         x = k / 2.0 ** 20
-        assert evaluate(spec, draw, x, 60) == evaluate(spec, draw, x + 1.0, 60)
+        assert _evaluate(spec, draw, x, 60) == _evaluate(spec, draw, x + 1.0, 60)
 
 
 def _mixed_b_seq(length):
@@ -388,7 +392,7 @@ def test_boundedness_property(seed, order, x):
     spec = fn_core.FunctionSpec(a=0.8, freq=geometric(2.0))
     draw = draw_coefficients(spec, seed, order)
     bound = spec.g.sup_abs * (1.0 - spec.a ** order) / (1.0 - spec.a)
-    assert abs(evaluate(spec, draw, x, order)) <= bound + 1e-12
+    assert abs(_evaluate(spec, draw, x, order)) <= bound + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -321,8 +321,8 @@ def test_pair_bound_trivial_when_scales_large():
 
 def _level_set_pairs(spec, eps, k):
     # centres of k marked cells of the level-0 and level-1 intersection, drawn with replacement
-    inter = oscillation_level_set(spec, 0, eps, 512) & oscillation_level_set(spec, 1, eps, 512)
-    ix, iy = np.nonzero(inter.bits)
+    inter = oscillation_level_set(spec, 0, eps, 512).bits & oscillation_level_set(spec, 1, eps, 512).bits
+    ix, iy = np.nonzero(inter)
     pick = substream(5, "pairs").integers(0, len(ix), size=k)
     return (ix[pick] + 0.5) / 512.0, (iy[pick] + 0.5) / 512.0
 
