@@ -58,7 +58,6 @@ from .occupation import (
     adaptive_char_profile,
     char_function_mc,
     char_function_profile,
-    fourier_transform,
     occupation_histogram,
     pair_product_bound,
     parseval_check,

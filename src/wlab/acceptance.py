@@ -199,6 +199,7 @@ def criterion_5(profile: AcceptanceProfile) -> CriterionResult:
         {
             "verdicts": verdicts,
             "tail_indices": {e.t: round(e.tail_index, 3) for e in entries},
+            "correlation_dim": round(entries[0].correlation_dim, 3),
         },
     )
 

@@ -85,16 +85,22 @@ def _command_params(ctx: click.Context, kwargs: dict) -> dict:
     return p
 
 
-def _build_spec(a: float, b: float, b_seq: str | None, phases: str | None,
+class FloatList(click.ParamType):
+    """Comma-separated numbers; an entry that is not one is a usage error (exit 2)."""
+
+    name = "floats"
+
+    def convert(self, value, param, ctx):
+        try:  # an empty value is no numbers, so `phases=` in a config file means none
+            return tuple(float(v) for v in value.split(",")) if value.strip() else ()
+        except ValueError:
+            self.fail(f"{value!r} is not a comma-separated list of numbers", param, ctx)
+
+
+def _build_spec(a: float, b: float, b_seq: tuple | None, phases: tuple | None,
                 g: str) -> fn_core.FunctionSpec:
-    phase_tuple = tuple(float(v) for v in phases.split(",")) if phases else ()
-    base = fn_core.base_function(g)
-    if b_seq:
-        seq = tuple(float(v) for v in b_seq.split(","))
-        freq = fn_core.explicit(seq, b)
-    else:
-        freq = fn_core.geometric(b)
-    return fn_core.build_spec(a, freq, phases=phase_tuple, g=base)
+    freq = fn_core.explicit(b_seq, b) if b_seq else fn_core.geometric(b)
+    return fn_core.build_spec(a, freq, phases=phases or (), g=fn_core.base_function(g))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -107,9 +113,9 @@ def spec_options(fn):
     fn = click.option("--g", default="cos", show_default=True,
                       type=click.Choice(sorted(fn_core.BUILTIN_BASE_FUNCTIONS)),
                       help="Built-in base function.")(fn)
-    fn = click.option("--phases", default=None,
+    fn = click.option("--phases", type=FloatList(), default=None,
                       help="Comma-separated phase offsets (default all 0).")(fn)
-    fn = click.option("--b-seq", default=None,
+    fn = click.option("--b-seq", type=FloatList(), default=None,
                       help="Explicit comma-separated frequency sequence (b0 must be 1).")(fn)
     fn = click.option("--b", default=2.0, show_default=True,
                       help="Frequency ratio (or ratio lower bound with --b-seq).")(fn)
@@ -198,7 +204,7 @@ def boxdim(ctx, **kwargs):
 @main.command()
 @spec_options
 @common_options
-@click.option("--t-grid", default="1.2,1.4,1.6,1.9", show_default=True,
+@click.option("--t-grid", type=FloatList(), default="1.2,1.4,1.6,1.9", show_default=True,
               help="Comma-separated exponents in (1, 2).")
 @click.option("--pairs", default=400_000, show_default=True)
 @click.option("--seeds", default=6, show_default=True)
@@ -209,9 +215,8 @@ def energy(ctx, **kwargs):
     p = _command_params(ctx, kwargs)
     try:
         spec = _build_spec(p["a"], p["b"], p["b_seq"], p["phases"], p["g"])
-        t_grid = [float(v) for v in p["t_grid"].split(",")]
         entries = dimension.energy_threshold_scan(
-            spec, t_grid, p["pairs"],
+            spec, p["t_grid"], p["pairs"],
             seeds=[p["seed"] + i for i in range(p["seeds"])],
         )
     except (ValueError, TypeError) as exc:

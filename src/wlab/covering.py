@@ -321,9 +321,7 @@ def shrink_rate_bound(n_squares: int, delta: float, ratio: float,
 @dataclass(frozen=True)
 class DecayFit:
     rate: float
-    prefactor: float
     r2: float
-    n_used: int
 
 
 def decay_fit(measures) -> DecayFit:
@@ -344,9 +342,8 @@ def decay_fit(measures) -> DecayFit:
             UserWarning,
             stacklevel=2,
         )
-    slope, intercept, r2 = fit_line(np.arange(n_pos), np.log(arr[:n_pos]))
-    return DecayFit(rate=float(np.exp(slope)), prefactor=float(np.exp(intercept)),
-                    r2=r2, n_used=n_pos)
+    slope, _, r2 = fit_line(np.arange(n_pos), np.log(arr[:n_pos]))
+    return DecayFit(rate=float(np.exp(slope)), r2=r2)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,7 @@ class EnergyEstimate:
     n_pairs: int
     growth: float | None = None
     tail_index: float | None = None
+    correlation_dim: float | None = None
     verdict: str | None = None
 
 
@@ -213,14 +214,14 @@ def energy_estimate(spec: FunctionSpec, draw: CoefficientDraw, t: float,
 
 
 # Divergence rule: the integrand's tail obeys P(w > s) ~ s^(-alpha) with
-# alpha = dim/t, so the energy has finite mean exactly when alpha > 1.  A
-# pooled Hill estimate of alpha (top _HILL_TOP order statistics over all
-# seeds) is the primary signal; its standard error alpha/sqrt(k) ~ 0.03
-# keeps the stable/diverging cases 4+ errors from the boundary for the
-# (0.8, 2) family.  The growth of the running mean between n_pairs/4 and
-# n_pairs, the spec'd symptom of an infinite mean, stays in as a secondary
-# trigger for blatant cases, and only while the tail index is not 3 errors
-# above 1: a significantly finite mean outweighs a noisy running mean.
+# alpha = dim/t, so the energy has finite mean exactly when alpha > 1.  The
+# pooled Hill estimate of alpha from the top _HILL_TOP terms of all seeds,
+# D_c/t by _correlation_dimension, is the primary signal; its standard error
+# alpha/sqrt(k) ~ 0.03 keeps the stable/diverging cases 4+ errors from the
+# boundary for the (0.8, 2) family.  The growth of the running mean between
+# n_pairs/4 and n_pairs, the spec'd symptom of an infinite mean, stays in as
+# a secondary trigger for blatant cases, and only while the tail index is not
+# 3 errors above 1: a significantly finite mean outweighs a noisy running mean.
 _GROWTH_THRESHOLD = 0.05
 _GROWTH_TSTAT = 2.0
 _HILL_TOP = 2000
@@ -238,12 +239,17 @@ def _energy_verdict(tail_index: float, growth: float, growth_se: float) -> str:
     return "stable"
 
 
-def _hill_tail_index(w: np.ndarray, k: int) -> float:
-    """Hill estimator of the tail index from the top k + 1 order statistics."""
-    k = min(k, w.size - 1)
-    top = np.partition(w, w.size - k - 1)[-k - 1:]
-    base = top.min()
-    return float(1.0 / np.mean(np.log(np.sort(top)[1:] / base)))
+def _correlation_dimension(d2: np.ndarray, k: int) -> tuple:
+    """Takens' estimate D = 2 / mean(log(d2_base / d2_i)) and its error D / sqrt(k).
+
+    d2_i are the k smallest squared distances and d2_base the (k + 1)-th.  The
+    terms w = d2^(-t/2) fall as d2 grows, so the Hill index of their top k + 1
+    is exactly D / t for every t.
+    """
+    k = min(k, d2.size - 1)
+    near = np.partition(d2, k)[:k + 1]
+    dim = float(2.0 / np.mean(np.log(near[k] / near[:k])))
+    return dim, dim / math.sqrt(k)
 
 
 def energy_threshold_scan(spec: FunctionSpec, t_grid, n_pairs: int, seeds,
@@ -251,10 +257,10 @@ def energy_threshold_scan(spec: FunctionSpec, t_grid, n_pairs: int, seeds,
     """Seed-averaged energy profile with a stable/diverging verdict per t.
 
     Diagnostics per t: the growth of the estimate from n_pairs/4 pairs (a
-    prefix of the same stream) to n_pairs, and a pooled Hill tail index.  A
-    tail index below 1 (infinite mean) marks t as diverging, and so does
-    systematic significant growth unless the tail index is significantly
-    above 1.  Needs at least 1000 pairs and one seed.
+    prefix of the same stream) to n_pairs, and a pooled Hill tail index D_c/t,
+    D_c the correlation dimension.  A tail index below 1 (infinite mean) marks
+    t as diverging, and so does systematic significant growth unless the tail
+    index is significantly above 1.  Needs at least 1000 pairs and one seed.
     """
     t_grid = [float(t) for t in t_grid]
     for t in t_grid:
@@ -269,35 +275,37 @@ def energy_threshold_scan(spec: FunctionSpec, t_grid, n_pairs: int, seeds,
         return []
     order = effective_order(spec) if order is None else order
     nq = n_pairs // 4
-
-    d2_all = []
-    for seed in seeds:
-        draw = draw_coefficients(spec, seed, order)
-        d2_all.append(_pair_distances_sq(spec, draw, order, n_pairs, seed, "scanpairs"))
-
-    out = []
     k = len(seeds)
+
+    fulls = np.empty((len(t_grid), k))
+    quarters = np.empty_like(fulls)
+    tops = []
     w = np.empty(n_pairs)
     keep = min(_HILL_TOP + 1, n_pairs)
-    for t in t_grid:
-        fulls = np.empty(k)
-        quarters = np.empty(k)
-        top_blocks = []
-        for i, d2 in enumerate(d2_all):
+    for i, seed in enumerate(seeds):
+        draw = draw_coefficients(spec, seed, order)
+        d2 = _pair_distances_sq(spec, draw, order, n_pairs, seed, "scanpairs")
+        for j, t in enumerate(t_grid):
             np.power(d2, -0.5 * t, out=w)  # what d2 ** (-t/2) calls: no fast path for t in (1, 2)
-            fulls[i] = w.mean()
-            quarters[i] = w[:nq].mean()
-            w.partition(n_pairs - keep)
-            top_blocks.append(w[-keep:].copy())
-        value = float(fulls.mean())
-        se = float(fulls.std(ddof=1) / math.sqrt(k)) if k > 1 else math.nan
-        log_growth = np.log(fulls / quarters)
+            fulls[j, i] = w.mean()
+            quarters[j, i] = w[:nq].mean()
+        # partitioned only now: the quarter means read the stream-order prefix
+        d2.partition(keep - 1)
+        tops.append(d2[:keep].copy())
+        del d2  # before the next seed's array is allocated
+    dim, _ = _correlation_dimension(np.concatenate(tops), _HILL_TOP)
+
+    out = []
+    for t, full, quarter in zip(t_grid, fulls, quarters):
+        value = float(full.mean())
+        se = float(full.std(ddof=1) / math.sqrt(k)) if k > 1 else math.nan
+        log_growth = np.log(full / quarter)
         growth = float(log_growth.mean())
         growth_se = float(log_growth.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
-        tail_index = _hill_tail_index(np.concatenate(top_blocks), _HILL_TOP)
+        tail_index = dim / t
         out.append(EnergyEstimate(
             t=t, value=value, std_error=se, n_pairs=n_pairs,
-            growth=growth, tail_index=tail_index,
+            growth=growth, tail_index=tail_index, correlation_dim=dim,
             verdict=_energy_verdict(tail_index, growth, growth_se),
         ))
     return out

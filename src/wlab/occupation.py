@@ -19,6 +19,7 @@ from .fn_core import (
     FunctionSpec,
     GraphSample,
     effective_order,
+    fit_line,
     reduced_arguments,
     write_rows,
 )
@@ -58,12 +59,12 @@ class OccupationDensity:
 def occupation_histogram(sample: GraphSample, bins: int) -> OccupationDensity:
     """Histogram of f over the sample; each point carries mass 1/len(xs).
 
-    The value range is the sampled min/max padded by one bin width.  A bin
-    holding over half the mass flags a degenerate (near-atomic) measure; the
-    result is still returned.
+    The value range is the sampled min/max padded by one bin width on each
+    side, so at least 3 bins are needed.  A bin holding over half the mass
+    flags a degenerate (near-atomic) measure; the result is still returned.
     """
-    if bins < 2:
-        raise ValueError(f"need >= 2 bins, got {bins}")
+    if bins < 3:
+        raise ValueError(f"need >= 3 bins, got {bins}")
     m = len(sample)
     if m < 100 * bins:
         raise ValueError(f"need >= {100 * bins} samples for {bins} bins, got {m}")
@@ -103,20 +104,6 @@ class FourierProfile:
     def write_csv(self, path) -> None:
         write_rows(path, ("u", "re", "im", "abs2"),
                    ((u, v.real, v.imag, v.real**2 + v.imag**2) for u, v in zip(self.us, self.values)))
-
-
-def fourier_transform(sample: GraphSample, us) -> FourierProfile:
-    """Rectangle-rule transform (1/m) sum_j exp(i u ys[j]) at each requested u."""
-    us = np.asarray(list(us), dtype=np.float64)
-    if us.size == 0:
-        raise ValueError("need a nonempty frequency list")
-    ys = sample.ys
-    values = np.empty(us.size, dtype=np.complex128)
-    chunk = max(1, (1 << 22) // max(1, ys.size))
-    for start in range(0, us.size, chunk):
-        block = us[start:start + chunk]
-        values[start:start + chunk] = np.exp(1j * np.outer(block, ys)).mean(axis=1)
-    return FourierProfile(us=us, values=values)
 
 
 def _extend(z: np.ndarray, w: np.ndarray, pos: list, steps: int) -> None:
@@ -229,7 +216,7 @@ def parseval_check(density: OccupationDensity, profile: FourierProfile,
     octave = (np.abs(uu) >= u_max / 2.0) & (np.abs(uu) > 0.0)
     lu = np.log(np.abs(uu[octave]))
     lv = np.log(np.maximum(vv[octave], 1e-300))
-    p, logc = np.polyfit(lu, lv, 1)
+    p, logc, _ = fit_line(lu, lv)
     if p < -1.0:
         tail = math.exp(logc) * u_max ** (p + 1.0) / (-(p + 1.0)) / math.pi
     else:

@@ -12,7 +12,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from wlab import fn_core
+from wlab import dimension, fn_core
+from wlab.occupation import FourierProfile
 
 
 def mp_eval_series(spec, values, x, order, dps=None):
@@ -138,9 +139,63 @@ def box_hash_count(xs, ys, eps):
     return len(set(zip(cols.tolist(), rows.tolist())))
 
 
+def pooled_hill_scan(spec, t_grid, n_pairs, seeds, order):
+    """The energy scan with a separate pooled Hill fit per t.
+
+    For every t the top + 1 largest of each seed's terms w = d2^(-t/2) are
+    pooled; the Hill index 1 / mean(log(w_i / w_min)) over the pool's top + 1
+    largest is that t's tail index.  Returns (t, value, std_error, growth,
+    tail_index, verdict) per t.
+    """
+    top = dimension._HILL_TOP
+    k = len(seeds)
+    nq = n_pairs // 4
+    d2_all = [
+        dimension._pair_distances_sq(
+            spec, fn_core.draw_coefficients(spec, s, order), order, n_pairs, s, "scanpairs")
+        for s in seeds
+    ]
+    out = []
+    for t in t_grid:
+        fulls = np.empty(k)
+        quarters = np.empty(k)
+        blocks = []
+        for i, d2 in enumerate(d2_all):
+            w = d2 ** (-0.5 * t)
+            fulls[i] = w.mean()
+            quarters[i] = w[:nq].mean()
+            blocks.append(np.sort(w)[-(top + 1):])
+        pooled = np.sort(np.concatenate(blocks))
+        kk = min(top, pooled.size - 1)
+        hill = pooled[-kk - 1:]
+        tail_index = float(1.0 / np.mean(np.log(hill[1:] / hill[0])))
+        value = float(fulls.mean())
+        se = float(fulls.std(ddof=1) / math.sqrt(k)) if k > 1 else math.nan
+        log_growth = np.log(fulls / quarters)
+        growth = float(log_growth.mean())
+        growth_se = float(log_growth.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
+        verdict = dimension._energy_verdict(tail_index, growth, growth_se)
+        out.append((t, value, se, growth, tail_index, verdict))
+    return out
+
+
 def flat_energy_closed_form(t):
     """Double integral of |x - y|^(-t) over the unit square, t < 1."""
     return 2.0 / ((1.0 - t) * (2.0 - t))
+
+
+def fourier_transform(sample, us):
+    """Rectangle-rule transform (1/m) sum_j exp(i u ys[j]) at each requested u."""
+    us = np.asarray(list(us), dtype=np.float64)
+    if us.size == 0:
+        raise ValueError("need a nonempty frequency list")
+    ys = sample.ys
+    values = np.empty(us.size, dtype=np.complex128)
+    chunk = max(1, (1 << 22) // max(1, ys.size))
+    for start in range(0, us.size, chunk):
+        block = us[start:start + chunk]
+        values[start:start + chunk] = np.exp(1j * np.outer(block, ys)).mean(axis=1)
+    return FourierProfile(us=us, values=values)
 
 
 def identity_char_function(u):

@@ -92,7 +92,8 @@ def test_boxdim_precondition_exit(runner, tmp_path):
     (["energy", "--pairs", "1"], "pairs"),
     (["energy", "--seeds", "0"], "seed"),
     (["boxdim", "--seeds", "0"], "seed"),
-], ids=["energy-pairs", "energy-seeds", "boxdim-seeds"])
+    (["occ", "--samples", "30000", "--bins", "2"], "bins"),
+], ids=["energy-pairs", "energy-seeds", "boxdim-seeds", "occ-bins"])
 def test_scan_sizes_it_cannot_use_exit_3(runner, tmp_path, args, named):
     out = tmp_path / "out.csv"
     with warnings.catch_warnings(record=True) as caught:
@@ -101,6 +102,24 @@ def test_scan_sizes_it_cannot_use_exit_3(runner, tmp_path, args, named):
     assert result.exit_code == 3, result.output
     assert named in result.output
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, config", [
+    (["gen", "--phases", "0.1,x"], None),
+    (["gen", "--b-seq", "1,2,y"], None),
+    (["energy", "--t-grid", "1.2,z"], None),
+    (["gen"], "phases=0.1,x\n"),
+], ids=["phases", "b-seq", "t-grid", "config-phases"])
+def test_bad_number_list_is_a_usage_error(runner, tmp_path, args, config):
+    out = tmp_path / "out.csv"
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        args = args + ["--config", str(cfg)]
+    result = runner.invoke(main, args + ["--output", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "comma-separated list of numbers" in result.output
     assert not out.exists()
 
 

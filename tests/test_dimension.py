@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from wlab.dimension import (
     DensityError,
+    _correlation_dimension,
     _energy_verdict,
+    _pair_distances_sq,
     box_count,
     box_dimension_scan,
     energy_estimate,
@@ -259,17 +261,54 @@ def test_scan_rejects_out_of_range_t():
 
 
 def test_scan_temporaries():
-    # one n-pair array of squared distances per seed plus one working array
-    # of terms; each seed's top order statistics are copied out of it
+    # one n-pair array of squared distances and one working array of terms,
+    # whatever the seed count: each seed's closest pairs are copied out and
+    # its distances dropped before the next seed's are drawn
     n = 1 << 20
     spec = build_spec(0.8, geometric(2.0))
-    tracemalloc.start()
-    try:
-        energy_threshold_scan(spec, [1.2, 1.9], n, seeds=[1, 2], order=20)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5 * 8 * n, peak / (8 * n)
+    for seeds in ([1, 2], [1, 2, 3, 4]):
+        tracemalloc.start()
+        try:
+            energy_threshold_scan(spec, [1.2, 1.9], n, seeds=seeds, order=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * 8 * n, (len(seeds), peak / (8 * n))
+
+
+@pytest.mark.parametrize("n_pairs, seeds", [(50_000, [1, 2, 3]), (1500, [4])])
+def test_scan_matches_per_t_pooled_hill(n_pairs, seeds):
+    # one Takens fit serves every t: the per-t pooled Hill index is D_c / t
+    spec = build_spec(0.8, geometric(2.0))
+    t_grid = [1.2, 1.4, 1.6, 1.9]
+    entries = energy_threshold_scan(spec, t_grid, n_pairs, seeds=seeds, order=30)
+    ref = oracles.pooled_hill_scan(spec, t_grid, n_pairs, seeds, order=30)
+    for e, (t, value, se, growth, tail_index, verdict) in zip(entries, ref, strict=True):
+        assert (e.t, e.value, e.growth, e.verdict) == (t, value, growth, verdict)
+        assert e.std_error == se or (math.isnan(e.std_error) and math.isnan(se))
+        assert e.tail_index == pytest.approx(tail_index, rel=1e-12, abs=0.0)
+        assert e.t * e.tail_index == pytest.approx(e.correlation_dim, rel=1e-12, abs=0.0)
+    assert len({e.correlation_dim for e in entries}) == 1
+
+
+def _torus_d2(gen, n):
+    d = np.abs(gen.random((2, n)) - gen.random((2, n)))
+    return (np.minimum(d, 1.0 - d) ** 2).sum(axis=0)
+
+
+@pytest.mark.parametrize("case, want", [("segment", 1.0), ("torus", 2.0)])
+def test_correlation_dimension_known_cases(case, want):
+    # the zero draw's graph is the unit segment; pairs on the flat torus have
+    # P(d < r) = pi r^2 exactly for r < 1/2
+    n = 10 ** 6
+    if case == "segment":
+        spec = build_spec(0.8, geometric(2.0))
+        d2 = _pair_distances_sq(spec, zero_draw(), 1, n, 3, "takens")
+    else:
+        d2 = _torus_d2(substream(3, "takens-torus"), n)
+    dim, se = _correlation_dimension(d2, 2000)
+    assert se == pytest.approx(dim / math.sqrt(2000))
+    assert abs(dim - want) <= 3.0 * se, (dim, se)
 
 
 def test_scan_verdicts_small_scale():

@@ -17,7 +17,6 @@ from wlab.occupation import (
     adaptive_char_profile,
     char_function_mc,
     char_function_profile,
-    fourier_transform,
     increment_half_widths,
     occupation_histogram,
     pair_product_bound,
@@ -74,6 +73,8 @@ def test_histogram_constant_is_degenerate():
 def test_histogram_validation():
     with pytest.raises(ValueError):
         occupation_histogram(_line_sample(), 1)
+    with pytest.raises(ValueError, match="3 bins"):
+        occupation_histogram(_line_sample(), 2)  # both bins would be padding
     with pytest.raises(ValueError, match="samples"):
         occupation_histogram(_line_sample(m=500), 10)
 
@@ -99,43 +100,43 @@ def test_histogram_mass_property(seed):
 
 
 # ---------------------------------------------------------------------------
-# Fourier transform
+# Fourier transform (the direct reference in oracles, and the recurrence)
 # ---------------------------------------------------------------------------
 
 def test_fourier_at_zero_is_one():
-    prof = fourier_transform(_line_sample(), [0.0])
+    prof = oracles.fourier_transform(_line_sample(), [0.0])
     assert prof.values[0] == 1.0 + 0.0j
 
 
 def test_fourier_identity_closed_form():
-    prof = fourier_transform(_line_sample(200_000), [math.pi, 2.0, -math.pi])
+    prof = oracles.fourier_transform(_line_sample(200_000), [math.pi, 2.0, -math.pi])
     for u, v in zip(prof.us, prof.values):
         assert v == pytest.approx(oracles.identity_char_function(u), abs=1e-4)
     assert abs(prof.values[0]) == pytest.approx(2.0 / math.pi, abs=1e-4)
 
 
 def test_fourier_constant_function():
-    prof = fourier_transform(_const_sample(0.0), [0.5, 3.0, 10.0])
+    prof = oracles.fourier_transform(_const_sample(0.0), [0.5, 3.0, 10.0])
     assert np.allclose(prof.values, 1.0)
 
 
 def test_fourier_hermitian_exact():
     _, s = _weier_sample(m=20_000)
     us = [-7.0, -2.5, 2.5, 7.0]
-    prof = fourier_transform(s, us)
+    prof = oracles.fourier_transform(s, us)
     assert prof.values[0] == np.conj(prof.values[3])
     assert prof.values[1] == np.conj(prof.values[2])
 
 
 def test_fourier_needs_frequencies():
     with pytest.raises(ValueError):
-        fourier_transform(_line_sample(), [])
+        oracles.fourier_transform(_line_sample(), [])
 
 
 def test_char_profile_matches_direct_transform():
     _, s = _weier_sample(m=20_000)
     prof = char_function_profile(s, du=0.5, u_max=8.0)
-    direct = fourier_transform(s, prof.us)
+    direct = oracles.fourier_transform(s, prof.us)
     assert np.allclose(prof.values, direct.values, atol=1e-10)
     assert prof.values[len(prof.us) // 2] == 1.0 + 0.0j
 
