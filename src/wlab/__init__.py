@@ -22,6 +22,7 @@ from .fn_core import (
     explicit,
     geometric,
     sample_graph,
+    sample_graphs,
     truncation_order,
     zero_draw,
 )

@@ -124,10 +124,14 @@ def spec_options(fn):
     return fn
 
 
+threads_option = click.option(
+    "--threads", type=click.IntRange(min=1), default=1, show_default=True,
+    envvar="WLAB_THREADS", show_envvar=True,
+    help="Threads that evaluate f; results are the same for any count.")
+
+
 def common_options(fn):
-    fn = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-                      envvar="WLAB_THREADS", show_envvar=True,
-                      help="Threads that evaluate f; results are the same for any count.")(fn)
+    fn = threads_option(fn)
     fn = click.option("--config", type=click.Path(), default=None,
                       help="key=value file of defaults for this command.")(fn)
     fn = click.option("--seed", default=7, show_default=True, help="Master seed.")(fn)
@@ -306,10 +310,13 @@ def cover(ctx, **kwargs):
               help="Comma-separated subset, e.g. 1,4,10 (default: all).")
 @click.option("--report", default=None, type=click.Path(),
               help="Also write a JSON report here.")
-def verify_all(profile, criteria, report):
+@threads_option
+@click.pass_context
+def verify_all(ctx, profile, criteria, report, threads):
     """Run the acceptance criteria; exit 0 iff every one passes."""
     if report:
         _check_output_dir(report)
+    ctx.with_resource(fn_core.worker_threads(threads))
     prof = acceptance.PROFILES[profile]
     selected = None
     if criteria:

@@ -22,10 +22,11 @@ from .fn_core import (
     GraphSample,
     dimension_formula,
     draw_coefficients,
+    draw_groups,
     effective_order,
     evaluate_many,
     fit_line,
-    sample_graph,
+    sample_graphs,
     write_rows,
 )
 from .rng import substream
@@ -113,8 +114,9 @@ def box_dimension_scan(spec: FunctionSpec, seeds, scales, m: int | None = None) 
 
     Each draw is truncated at the spec's effective order and sampled at m
     points, by default box_count's 8 per column of the finest scale.  The
-    least-squares slope is linear in log N, so this equals the mean of the
-    per-seed slopes; both are reported.
+    draws are sampled a group at a time (see draw_groups), all of a group
+    in one level pass.  The least-squares slope is linear in log N, so this
+    equals the mean of the per-seed slopes; both are reported.
     """
     arr = _check_scales(scales)
     seeds = list(seeds)
@@ -123,13 +125,10 @@ def box_dimension_scan(spec: FunctionSpec, seeds, scales, m: int | None = None) 
     if m is None:
         m = int(round(8 / float(arr[-1]))) + 1
     order = effective_order(spec)
-
-    def one_seed(seed):
-        draw = draw_coefficients(spec, seed, order)
-        sample = sample_graph(spec, draw, m)
-        return [box_count(sample, e) for e in arr]
-
-    log_counts = np.log(np.asarray([one_seed(s) for s in seeds], dtype=np.float64))
+    counts = []
+    for group in draw_groups((draw_coefficients(spec, s, order) for s in seeds), m):
+        counts += [[box_count(sample, e) for e in arr] for sample in sample_graphs(spec, group, m)]
+    log_counts = np.log(np.asarray(counts, dtype=np.float64))
     mean_logs = log_counts.mean(axis=0)
     x = -np.log(arr)
     slope, intercept, r2 = fit_line(x, mean_logs)

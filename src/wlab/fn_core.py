@@ -375,12 +375,13 @@ def reduced_arguments(spec: FunctionSpec, n: int, xs) -> np.ndarray:
 
 _WORKER_THREADS = contextvars.ContextVar("wlab_worker_threads", default=1)
 _MIN_CHUNK = 1 << 14   # fewest points worth a thread of their own
-_BLOCK = 1 << 15       # most points one level pass of evaluate_many touches
+_BLOCK = 1 << 15       # most points one level pass of the shared kernel touches
+_GROUP_DOUBLES = 1 << 22   # most output doubles (rows x points) one group of draws keeps alive
 
 
 @contextlib.contextmanager
 def worker_threads(n: int):
-    """Let evaluate_many use up to n threads inside this context (default 1).
+    """Let evaluate_many and sample_graphs use up to n threads inside this context (default 1).
 
     The setting is a context variable, so it is restored on exit and does not
     leak into later calls or other threads.
@@ -394,45 +395,77 @@ def worker_threads(n: int):
         _WORKER_THREADS.reset(token)
 
 
-def evaluate_many(spec: FunctionSpec, draw: CoefficientDraw, xs, order: int) -> np.ndarray:
-    """Partial sum over n < order of values[n] * g(b_n x + theta_n) at each x.
+def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> list:
+    """Per draw, the partial sum over n < order of values[n] * g(b_n x + theta_n) at each x.
 
-    The flattened input is cut into one contiguous chunk per worker thread
-    (see worker_threads), with fewer threads when a chunk would hold under
-    2^14 points; a single chunk runs on the calling thread.  Each chunk is
-    walked in blocks of at most 2^15 points, and a block adds the levels
-    into its slice of the output in order n = 0, 1, ..., so every point sums
-    its terms in the same order and the result has the same bits for any
-    thread count and block size.  The result has the shape of
-    np.atleast_1d(xs).
+    xs is flat, and each draw gets its own row of xs.size doubles.
+
+    The kernel behind evaluate_many and sample_graphs.  The points are cut
+    into one contiguous chunk per worker thread (see worker_threads), with
+    fewer threads when a chunk would hold under 2^14 points; a single chunk
+    runs on the calling thread.  Each chunk is walked in blocks of at most
+    2^15 points.  Per block and level, the reduced arguments and g are
+    computed once, for every draw whose coefficient is nonzero, and each
+    such draw adds values[n] * g into its slice of its row, in order
+    n = 0, 1, ...  So every point of every draw sums the same products in
+    the same order, and each row has the same bits for any thread count,
+    block size and number of draws.
     """
-    if order > draw.order:
-        raise ValueError(f"order {order} exceeds draw.order {draw.order}")
+    if not draws:
+        raise ValueError("need at least one draw")
+    for draw in draws:
+        if order > draw.order:
+            raise ValueError(f"order {order} exceeds draw.order {draw.order}")
     max_order = spec.freq.max_order
     if max_order is not None and order > max_order:
         raise ValueError(f"order {order} exceeds the {max_order} explicit frequencies")
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    flat = xs.ravel()
-    out = np.zeros(flat.size)
-    terms = [(n, c) for n, c in enumerate(draw.values[:order]) if c != 0.0]
+    rows = [np.zeros(xs.size) for _ in draws]
+    levels = [(n, [(row, d.values[n]) for row, d in zip(rows, draws) if d.values[n] != 0.0])
+              for n in range(order)]
+    levels = [(n, terms) for n, terms in levels if terms]   # a level no draw adds to is not reduced
 
     def run(lo: int, hi: int) -> None:
+        tmp = np.empty(min(_BLOCK, hi - lo))
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
-            block, acc = flat[start:stop], out[start:stop]
-            for n, c in terms:
+            block, prod = xs[start:stop], tmp[:stop - start]
+            for n, terms in levels:
                 s = spec.g.sample(reduced_arguments(spec, n, block))
-                s *= c
-                acc += s
+                for row, c in terms:
+                    np.multiply(s, c, out=prod)
+                    row[start:stop] += prod
 
-    workers = min(_WORKER_THREADS.get(), flat.size // _MIN_CHUNK)
+    workers = min(_WORKER_THREADS.get(), xs.size // _MIN_CHUNK)
     if workers <= 1:
-        run(0, flat.size)
+        run(0, xs.size)
     else:
-        bounds = [i * flat.size // workers for i in range(workers + 1)]
+        bounds = [i * xs.size // workers for i in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, bounds[:-1], bounds[1:]))
-    return out.reshape(xs.shape)
+    return rows
+
+
+def evaluate_many(spec: FunctionSpec, draw: CoefficientDraw, xs, order: int) -> np.ndarray:
+    """Partial sum over n < order of values[n] * g(b_n x + theta_n) at each x.
+
+    The one-draw call of the shared level kernel: the result has the same
+    bits for any thread count (see worker_threads) and the shape of
+    np.atleast_1d(xs).
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    return _evaluate_rows(spec, [draw], xs.ravel(), order)[0].reshape(xs.shape)
+
+
+def draw_groups(draws, m: int) -> list:
+    """The draws cut into consecutive groups whose rows of m doubles fit in 2^22 doubles.
+
+    Each group holds at least one draw.  A caller that samples and consumes
+    one group at a time keeps at most one group's rows alive, whatever the
+    number of draws.
+    """
+    draws = list(draws)
+    per = max(1, _GROUP_DOUBLES // m)
+    return [draws[i:i + per] for i in range(0, len(draws), per)]
 
 
 @dataclass(frozen=True)
@@ -473,18 +506,31 @@ class GraphSample:
         return d
 
 
-def sample_graph(spec: FunctionSpec, draw: CoefficientDraw, m: int,
-                 tol: float | None = None) -> GraphSample:
-    """Sample f on the uniform m-point grid over [0, 1]."""
+def sample_graphs(spec: FunctionSpec, draws, m: int,
+                  tol: float | None = None) -> list:
+    """Sample f of each draw on one uniform m-point grid over [0, 1], in one level pass.
+
+    The samples share one xs array, and each sample's ys has the bits that
+    sample_graph gives for its draw alone.  The k rows of m doubles are all
+    alive at once; draw_groups bounds that for many draws.
+    """
     if m < 2:
         raise ValueError(f"need at least 2 sample points, got {m}")
     order = effective_order(spec, tol)
-    if order > draw.order:
-        raise ValueError(f"draw has {draw.order} coefficients but the tolerance needs {order}")
+    draws = list(draws)
+    for draw in draws:
+        if order > draw.order:
+            raise ValueError(f"draw has {draw.order} coefficients but the tolerance needs {order}")
     xs = np.linspace(0.0, 1.0, m)
-    ys = evaluate_many(spec, draw, xs, order)
-    return GraphSample(xs=xs, ys=ys, truncation_order=order,
-                       tail_bound=tail_bound(spec, order))
+    bound = tail_bound(spec, order)
+    return [GraphSample(xs=xs, ys=ys, truncation_order=order, tail_bound=bound)
+            for ys in _evaluate_rows(spec, draws, xs, order)]
+
+
+def sample_graph(spec: FunctionSpec, draw: CoefficientDraw, m: int,
+                 tol: float | None = None) -> GraphSample:
+    """Sample f on the uniform m-point grid over [0, 1]."""
+    return sample_graphs(spec, [draw], m, tol)[0]
 
 
 def dimension_formula(spec: FunctionSpec) -> float:

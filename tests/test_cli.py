@@ -286,7 +286,12 @@ def test_verify_all_report_in_missing_directory_is_a_config_error(runner, tmp_pa
     (["occ", "--samples", "65536", "--output", "density.csv"],
      ["density.csv", "density_parseval.json"]),
     (["energy", "--pairs", "40000", "--seeds", "2", "--output", "energy.csv"], ["energy.csv"]),
-], ids=["occ", "energy"])
+    # 2^15 + 1 points: a second thread really starts
+    (["boxdim", "--seeds", "3", "--m", "32769", "--min-scale-exp", "4", "--max-scale-exp", "8",
+      "--output", "boxdim.json"], ["boxdim.json", "boxdim.csv"]),
+    (["verify-all", "--profile", "quick", "--criteria", "6", "--report", "verify.json"],
+     ["verify.json"]),
+], ids=["occ", "energy", "boxdim", "verify-all"])
 def test_artifacts_identical_for_any_thread_count(runner, tmp_path, command, files):
     runs = {"flag-1": (["--threads", "1"], {}), "flag-2": (["--threads", "2"], {}),
             "env-2": ([], {"WLAB_THREADS": "2"})}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wlab import fn_core
 from wlab.dimension import (
     DensityError,
     _correlation_dimension,
@@ -176,6 +177,25 @@ def test_scan_threads_deterministic():
     with worker_threads(3):
         b = box_dimension_scan(spec, seeds=[1, 2, 3], scales=scales, m=m)
     assert a == b
+
+
+def test_scan_keeps_one_group_of_rows_alive(monkeypatch):
+    # 20 draws in groups of 8 rows: besides one group's rows only xs and
+    # block- or sample-sized temporaries are live, so the traced peak stays
+    # below two groups' rows (20 rows alive at once would exceed it)
+    spec = build_spec(0.8, geometric(2.0))
+    scales = [2.0 ** -k for k in range(7, 13)]
+    m = (1 << 17) + 1
+    full = box_dimension_scan(spec, seeds=range(20), scales=scales, m=m)
+    monkeypatch.setattr(fn_core, "_GROUP_DOUBLES", 8 * m)
+    tracemalloc.start()
+    try:
+        grouped = box_dimension_scan(spec, seeds=range(20), scales=scales, m=m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grouped == full
+    assert peak < 2 * 8 * m * 8, peak / (8 * m)
 
 
 # ---------------------------------------------------------------------------

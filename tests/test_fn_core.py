@@ -21,6 +21,7 @@ from wlab.fn_core import (
     explicit,
     geometric,
     sample_graph,
+    sample_graphs,
     truncation_order,
     worker_threads,
     zero_draw,
@@ -320,15 +321,18 @@ def test_non_finite_x_gives_nan(freq, phases):
 
 
 def _kernel_inputs(shape, seed):
-    # uniform x in [0, 1) with a few tiny x (wide lane), nan and +-inf mixed in
+    # uniform x in [0, 1) with a few tiny x (wide lane), negative x, nan and
+    # +-inf mixed in
     rng = np.random.default_rng(seed)
     xs = rng.random(shape)
     flat = xs.reshape(-1)
-    special = rng.permutation(flat.size)[:min(flat.size, 64)]
+    special = rng.permutation(flat.size)[:min(flat.size, 80)]
     flat[special[:40]] *= 2.0 ** -12
+    flat[special[:40:4]] *= -1.0
     flat[special[40:60:3]] = np.nan
     flat[special[41:60:3]] = np.inf
     flat[special[42:60:3]] = -np.inf
+    flat[special[60:80]] -= 3.0
     return xs
 
 
@@ -354,6 +358,37 @@ def test_evaluate_many_matches_whole_array_levels_bit_for_bit(spec, order, shape
             got = evaluate_many(spec, draw, xs, order)
         assert got.shape == xs.shape
         assert np.array_equal(got.view(np.uint64), want), threads
+
+
+@pytest.mark.parametrize("spec, order, shape", _KERNEL_CASES)
+def test_draw_rows_match_whole_array_levels_bit_for_bit(spec, order, shape):
+    # three draws in one level pass, one of them longer than order: each row
+    # has the bits of its draw alone, and the zero draw's row is exact zeros,
+    # nan and infinite x included
+    draws = [draw_coefficients(spec, 3, order), zero_draw(order),
+             draw_coefficients(spec, 5, order + 7)]
+    xs = _kernel_inputs(shape, 11)
+    wants = [oracles.evaluate_levels(spec, d, xs, order).ravel().view(np.uint64) for d in draws]
+    for threads in (1, 2, 3):
+        with worker_threads(threads):
+            rows = fn_core._evaluate_rows(spec, draws, xs.ravel(), order)
+        assert len(rows) == 3
+        for i, (row, want) in enumerate(zip(rows, wants)):
+            assert np.array_equal(row.view(np.uint64), want), (threads, i)
+        assert np.all(rows[1] == 0.0)
+
+
+def test_draw_rows_need_a_draw_and_enough_terms():
+    spec = build_spec(0.8, geometric(2.0))
+    xs = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="at least one draw"):
+        fn_core._evaluate_rows(spec, [], xs, 4)
+    with pytest.raises(ValueError, match="exceeds draw.order 3"):
+        fn_core._evaluate_rows(spec, [draw_coefficients(spec, 1, 8),
+                                      draw_coefficients(spec, 2, 3)], xs, 4)
+    short = build_spec(0.8, explicit([1, 2, 4], 2.0))
+    with pytest.raises(ValueError, match="3 explicit frequencies"):
+        fn_core._evaluate_rows(short, [draw_coefficients(short, 1, 8)], xs, 4)
 
 
 def test_worker_threads_is_restored_and_checked():
@@ -434,6 +469,29 @@ def test_sample_graph_needs_two_points_and_enough_coefficients():
         sample_graph(spec, zero_draw(), 1)
     with pytest.raises(ValueError, match="coefficients"):
         sample_graph(spec, draw_coefficients(spec, 1, 3), 16)
+
+
+def test_sample_graphs_share_xs_and_keep_each_draws_bits():
+    spec = build_spec(0.8, geometric(2.0))
+    draws = [draw_coefficients(spec, seed, 96) for seed in (1, 2, 3)]
+    samples = sample_graphs(spec, draws, 4097)
+    assert len(samples) == 3
+    for draw, s in zip(draws, samples):
+        assert s.xs is samples[0].xs
+        assert np.array_equal(s.ys.view(np.uint64),
+                              sample_graph(spec, draw, 4097).ys.view(np.uint64))
+    with pytest.raises(ValueError, match="at least one draw"):
+        sample_graphs(spec, [], 16)
+    with pytest.raises(ValueError, match="coefficients"):
+        sample_graphs(spec, [draws[0], draw_coefficients(spec, 4, 3)], 16)
+
+
+def test_draw_groups_bound_rows_and_keep_order():
+    draws = list(range(10))
+    m = fn_core._GROUP_DOUBLES // 4
+    assert fn_core.draw_groups(draws, m) == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    assert fn_core.draw_groups(draws, fn_core._GROUP_DOUBLES + 1) == [[d] for d in draws]
+    assert fn_core.draw_groups(iter(draws[:3]), 2) == [[0, 1, 2]]
 
 
 def test_sample_graph_csv_round_trip(tmp_path):

@@ -20,8 +20,8 @@ twice in one tree and diff:
     WLAB_THREADS=2 PYTHONPATH=src python3 tools/artifact_digests.py > t2.txt
     diff t1.txt t2.txt
 
-`WLAB_THREADS` sets `--threads` of every command run here but `verify-all`,
-which has no such option; the library-only writers run on one thread.
+`WLAB_THREADS` sets `--threads` of every command run here, `verify-all`
+included; the library-only writers run on one thread.
 """
 
 from __future__ import annotations
