@@ -71,7 +71,6 @@ class CriterionResult:
     cid: int
     title: str
     passed: bool
-    runtime: float
     details: dict = field(default_factory=dict)
 
     def line(self) -> str:
@@ -99,7 +98,6 @@ def criterion_1(profile: AcceptanceProfile) -> CriterionResult:
 
     Each family's run also carries a 60 s budget.
     """
-    t0 = time.time()
     lo, hi = profile.dim_scale_exps
     scales = [2.0 ** -k for k in range(lo, hi + 1)]
     details = {}
@@ -117,7 +115,7 @@ def criterion_1(profile: AcceptanceProfile) -> CriterionResult:
         details[f"predicted_{a}_{b}"] = round(est.predicted_d, 4)
         details[f"err_{a}_{b}"] = round(err, 4)
         passed &= err <= 0.10 and elapsed <= 60.0
-    return CriterionResult(1, "dimension reproduction", passed, time.time() - t0, details)
+    return CriterionResult(1, "dimension reproduction", passed, details)
 
 
 def criterion_2(profile: AcceptanceProfile) -> CriterionResult:
@@ -131,7 +129,7 @@ def criterion_2(profile: AcceptanceProfile) -> CriterionResult:
     passed = (strict and n_eff == profile.cover_n_max and fit.rate <= 0.65
               and time.time() - t0 <= 30.0)
     return CriterionResult(
-        2, "covering decay", passed, time.time() - t0,
+        2, "covering decay", passed,
         {
             "measures": [round(m, 6) for m in measures],
             "strictly_decreasing": strict,
@@ -143,7 +141,6 @@ def criterion_2(profile: AcceptanceProfile) -> CriterionResult:
 
 def criterion_3(profile: AcceptanceProfile) -> CriterionResult:
     """Integer-ratio shrink rate equals N * delta^2 exactly on random inputs."""
-    t0 = time.time()
     rng = substream(3, "shrink-rate-inputs")
     exact = 0
     with warnings.catch_warnings():
@@ -155,7 +152,7 @@ def criterion_3(profile: AcceptanceProfile) -> CriterionResult:
             if params.rate == n * delta ** 2 and params.depth == 1:
                 exact += 1
     return CriterionResult(
-        3, "integer-ratio rate reduction", exact == 100, time.time() - t0,
+        3, "integer-ratio rate reduction", exact == 100,
         {"exact_matches": exact, "of": 100},
     )
 
@@ -170,7 +167,7 @@ def criterion_4(profile: AcceptanceProfile) -> CriterionResult:
     dev = abs(est.value - target)
     passed = dev <= 3.0 * est.std_error and time.time() - t0 <= 10.0
     return CriterionResult(
-        4, "energy closed-form oracle", passed, time.time() - t0,
+        4, "energy closed-form oracle", passed,
         {
             "value": round(est.value, 5),
             "target": round(target, 5),
@@ -182,7 +179,6 @@ def criterion_4(profile: AcceptanceProfile) -> CriterionResult:
 
 def criterion_5(profile: AcceptanceProfile) -> CriterionResult:
     """Scan verdicts: t = 1.2 and 1.4 stable, t = 1.9 diverging."""
-    t0 = time.time()
     spec = _weierstrass_spec()
     entries = dimension.energy_threshold_scan(
         spec, [1.2, 1.4, 1.6, 1.9], profile.scan_pairs,
@@ -195,7 +191,7 @@ def criterion_5(profile: AcceptanceProfile) -> CriterionResult:
         and verdicts[1.9] == "diverging"
     )
     return CriterionResult(
-        5, "energy threshold behavior", passed, time.time() - t0,
+        5, "energy threshold behavior", passed,
         {
             "verdicts": verdicts,
             "tail_indices": {e.t: round(e.tail_index, 3) for e in entries},
@@ -206,29 +202,26 @@ def criterion_5(profile: AcceptanceProfile) -> CriterionResult:
 
 def criterion_6(profile: AcceptanceProfile) -> CriterionResult:
     """Occupation L2 norm moves < 5% under bin refinement, for each seed."""
-    t0 = time.time()
     spec = _weierstrass_spec()
     order = fn_core.effective_order(spec)
     draws = [fn_core.draw_coefficients(spec, seed, order)
              for seed in range(1, profile.l2_seeds + 1)]
     changes = {}
     passed = True
-    for group in fn_core.draw_groups(draws, profile.l2_samples):
-        for draw, sample in zip(group, fn_core.sample_graphs(spec, group, profile.l2_samples)):
-            l_coarse = occupation.occupation_histogram(sample, 256).l2_sq
-            l_fine = occupation.occupation_histogram(sample, 512).l2_sq
-            change = abs(l_fine - l_coarse) / l_coarse
-            changes[draw.seed] = round(change, 5)
-            passed &= change < 0.05
+    for draw, sample in zip(draws, fn_core.sample_graphs(spec, draws, profile.l2_samples)):
+        l_coarse = occupation.occupation_histogram(sample, 256).l2_sq
+        l_fine = occupation.occupation_histogram(sample, 512).l2_sq
+        change = abs(l_fine - l_coarse) / l_coarse
+        changes[draw.seed] = round(change, 5)
+        passed &= change < 0.05
     return CriterionResult(
-        6, "occupation L2 refinement stability", passed, time.time() - t0,
+        6, "occupation L2 refinement stability", passed,
         {"rel_changes_256_to_512": changes, "limit": 0.05},
     )
 
 
 def criterion_7(profile: AcceptanceProfile) -> CriterionResult:
     """Parseval: < 1% for the identity map at u_max = 200, < 10% for a draw."""
-    t0 = time.time()
     xs = np.linspace(0.0, 1.0, profile.parseval_m)
     line = fn_core.GraphSample(xs=xs, ys=xs.copy(), truncation_order=0, tail_bound=0.0)
     dens = occupation.occupation_histogram(line, 256)
@@ -240,14 +233,13 @@ def criterion_7(profile: AcceptanceProfile) -> CriterionResult:
     draw = fn_core.draw_coefficients(spec, 3, order)
     sample = fn_core.sample_graph(spec, draw, profile.parseval_weier_m)
     densw = occupation.occupation_histogram(sample, 256)
-    du = 0.9 * math.pi / (densw.hi - densw.lo)
     profw, reached = occupation.adaptive_char_profile(
-        sample, du=du, decay_target=profile.parseval_decay_target)
+        sample, du=occupation.fourier_step(densw), decay_target=profile.parseval_decay_target)
     rep_weier = occupation.parseval_check(densw, profw, float(profw.us[-1]))
 
     passed = rep_line.discrepancy < 0.01 and reached and rep_weier.discrepancy < 0.10
     return CriterionResult(
-        7, "Parseval cross-check", passed, time.time() - t0,
+        7, "Parseval cross-check", passed,
         {
             "line_discrepancy": round(rep_line.discrepancy, 5),
             "weier_discrepancy": round(rep_weier.discrepancy, 5),
@@ -259,7 +251,6 @@ def criterion_7(profile: AcceptanceProfile) -> CriterionResult:
 
 def criterion_8(profile: AcceptanceProfile) -> CriterionResult:
     """Sinc product equals the draw average within 4 errors, rare reruns allowed."""
-    t0 = time.time()
     rng = substream(2024, "sinc-tuples")
     failures = 0
     rerun_failures = 0
@@ -281,7 +272,7 @@ def criterion_8(profile: AcceptanceProfile) -> CriterionResult:
                 rerun_failures += 1
     passed = failures <= 2 and rerun_failures == 0
     return CriterionResult(
-        8, "sinc identity vs draw average", passed, time.time() - t0,
+        8, "sinc identity vs draw average", passed,
         {
             "tuples": profile.sinc_tuples,
             "first_pass_failures": failures,
@@ -292,7 +283,6 @@ def criterion_8(profile: AcceptanceProfile) -> CriterionResult:
 
 def criterion_9(profile: AcceptanceProfile) -> CriterionResult:
     """First-hit series increments shrink monotonically from n_max 4 to 8."""
-    t0 = time.time()
     spec = _weierstrass_spec()
     decomp = covering.first_hit_sets(spec, 0.05, profile.series_n_max,
                                      profile.cover_resolution)
@@ -303,7 +293,7 @@ def criterion_9(profile: AcceptanceProfile) -> CriterionResult:
     mono = all(b <= a for a, b in zip(window, window[1:]))
     passed = mono and decomp.n_max_effective == profile.series_n_max
     return CriterionResult(
-        9, "first-hit series convergence", passed, time.time() - t0,
+        9, "first-hit series convergence", passed,
         {
             "partial_sums": [round(v, 5) for v in decomp.partial_sums],
             "increments_from_4": [round(v, 6) for v in window],
@@ -314,7 +304,6 @@ def criterion_9(profile: AcceptanceProfile) -> CriterionResult:
 
 def criterion_10(profile: AcceptanceProfile) -> CriterionResult:
     """Column counting matches the box-hash oracle; cosine fast path matches generic."""
-    t0 = time.time()
     rng = substream(10, "box-oracle-samples")
     matches = 0
     for _ in range(profile.oracle_samples):
@@ -340,7 +329,7 @@ def criterion_10(profile: AcceptanceProfile) -> CriterionResult:
     sym_diff = (fast_set ^ gen_set).measure()
     passed = matches == profile.oracle_samples and within
     return CriterionResult(
-        10, "oracle equivalence", passed, time.time() - t0,
+        10, "oracle equivalence", passed,
         {
             "box_hash_matches": matches,
             "of": profile.oracle_samples,

@@ -9,8 +9,8 @@ module, and for verify-all 0/1 for pass/fail.
 
 from __future__ import annotations
 
+import contextlib
 import json
-import math
 import os
 import sys
 
@@ -22,9 +22,20 @@ CONFIG_EXIT = 2
 PRECONDITION_EXIT = 3
 
 
-def _fail_precondition(exc: Exception):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(PRECONDITION_EXIT)
+@contextlib.contextmanager
+def _preconditions(written=()):
+    """Turn a module's ValueError or TypeError into one error: line and exit 3.
+
+    The files named in written (a list the block may still extend) are
+    removed first, so a failed command leaves none of its artifacts.
+    """
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        for path in written:
+            os.remove(path)
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(PRECONDITION_EXIT)
 
 
 def _read_config(path: str | None) -> dict:
@@ -73,16 +84,21 @@ def _check_output_dir(path: str) -> None:
         sys.exit(CONFIG_EXIT)
 
 
-def _command_params(ctx: click.Context, kwargs: dict) -> dict:
-    """Merged parameters of a command that writes --output and may use --threads.
+def _command_params(ctx: click.Context, kwargs: dict) -> tuple:
+    """Merged parameters of a command that writes --output, and the spec they give.
 
-    The output directory is checked, and the thread count holds until the
-    command's context closes.
+    The output directory is checked, the thread count holds until the
+    command's context closes, and the spec is built before any work, so a
+    spec the library rejects exits 3 at once.
     """
     p = _merge_config(ctx, kwargs.pop("config"), **kwargs)
     _check_output_dir(p["output"])
     ctx.with_resource(fn_core.worker_threads(p["threads"]))
-    return p
+    with _preconditions():
+        freq = fn_core.explicit(p["b_seq"], p["b"]) if p["b_seq"] else fn_core.geometric(p["b"])
+        spec = fn_core.build_spec(p["a"], freq, phases=p["phases"] or (),
+                                  g=fn_core.base_function(p["g"]))
+    return p, spec
 
 
 class FloatList(click.ParamType):
@@ -95,12 +111,6 @@ class FloatList(click.ParamType):
             return tuple(float(v) for v in value.split(",")) if value.strip() else ()
         except ValueError:
             self.fail(f"{value!r} is not a comma-separated list of numbers", param, ctx)
-
-
-def _build_spec(a: float, b: float, b_seq: tuple | None, phases: tuple | None,
-                g: str) -> fn_core.FunctionSpec:
-    freq = fn_core.explicit(b_seq, b) if b_seq else fn_core.geometric(b)
-    return fn_core.build_spec(a, freq, phases=phases or (), g=fn_core.base_function(g))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -155,14 +165,11 @@ def main():
 @click.pass_context
 def gen(ctx, **kwargs):
     """Sample one random draw of f on a uniform grid."""
-    p = _command_params(ctx, kwargs)
-    try:
-        spec = _build_spec(p["a"], p["b"], p["b_seq"], p["phases"], p["g"])
+    p, spec = _command_params(ctx, kwargs)
+    with _preconditions():
         order = fn_core.effective_order(spec, p["tol"])
         draw = fn_core.draw_coefficients(spec, p["seed"], max(order, 1))
         sample = fn_core.sample_graph(spec, draw, p["points"], p["tol"])
-    except (ValueError, TypeError) as exc:
-        _fail_precondition(exc)
     if p["fmt"] == "csv":
         sample.write_csv(p["output"])
     else:
@@ -183,9 +190,8 @@ def gen(ctx, **kwargs):
 @click.pass_context
 def boxdim(ctx, **kwargs):
     """Box-counting dimension of graph(f) against the predicted value."""
-    p = _command_params(ctx, kwargs)
-    try:
-        spec = _build_spec(p["a"], p["b"], p["b_seq"], p["phases"], p["g"])
+    p, spec = _command_params(ctx, kwargs)
+    with _preconditions():
         scales = [2.0 ** -k for k in range(p["min_scale_exp"], p["max_scale_exp"] + 1)]
         est = dimension.box_dimension_scan(
             spec,
@@ -193,8 +199,6 @@ def boxdim(ctx, **kwargs):
             scales=scales,
             m=p["m"],
         )
-    except (ValueError, TypeError) as exc:
-        _fail_precondition(exc)
     payload = {"schema": "wlab.boxdim/1", "spec": spec.to_dict(),
                "seed": p["seed"], "seeds": p["seeds"]}
     payload.update(est.to_json_dict())
@@ -216,15 +220,12 @@ def boxdim(ctx, **kwargs):
 @click.pass_context
 def energy(ctx, **kwargs):
     """Monte Carlo t-energy scan with stability verdicts."""
-    p = _command_params(ctx, kwargs)
-    try:
-        spec = _build_spec(p["a"], p["b"], p["b_seq"], p["phases"], p["g"])
+    p, spec = _command_params(ctx, kwargs)
+    with _preconditions():
         entries = dimension.energy_threshold_scan(
             spec, p["t_grid"], p["pairs"],
             seeds=[p["seed"] + i for i in range(p["seeds"])],
         )
-    except (ValueError, TypeError) as exc:
-        _fail_precondition(exc)
     dimension.write_scan_csv(p["output"], entries)
     for e in entries:
         click.echo(f"t={e.t}: value={e.value:.4f} se={e.std_error:.4f} -> {e.verdict}")
@@ -242,18 +243,14 @@ def energy(ctx, **kwargs):
 @click.pass_context
 def occ(ctx, **kwargs):
     """Occupation density, its L2 norm, and the Parseval cross-check."""
-    p = _command_params(ctx, kwargs)
-    try:
-        spec = _build_spec(p["a"], p["b"], p["b_seq"], p["phases"], p["g"])
+    p, spec = _command_params(ctx, kwargs)
+    with _preconditions():
         draw = fn_core.draw_coefficients(spec, p["seed"], max(fn_core.effective_order(spec), 1))
         sample = fn_core.sample_graph(spec, draw, p["samples"])
         dens = occupation.occupation_histogram(sample, p["bins"])
-        du = 0.9 * math.pi / (dens.hi - dens.lo)
         profile, reached = occupation.adaptive_char_profile(
-            sample, du=du, decay_target=p["decay_target"])
+            sample, du=occupation.fourier_step(dens), decay_target=p["decay_target"])
         report = occupation.parseval_check(dens, profile, float(profile.us[-1]))
-    except (ValueError, TypeError) as exc:
-        _fail_precondition(exc)
     dens.write_csv(p["output"])
     base = os.path.splitext(p["output"])[0]
     _write_json(base + "_parseval.json", {
@@ -279,7 +276,7 @@ def occ(ctx, **kwargs):
 @click.pass_context
 def cover(ctx, **kwargs):
     """Near-level set of g, its iterated intersections, and their decay."""
-    p = _command_params(ctx, kwargs)
+    p, spec = _command_params(ctx, kwargs)
     base = os.path.splitext(p["output"])[0]
     written = []
 
@@ -288,16 +285,11 @@ def cover(ctx, **kwargs):
         written.append(f"{base}_level{n}.pbm")
         s.write_pbm(written[-1])
 
-    try:
-        spec = _build_spec(p["a"], p["b"], p["b_seq"], p["phases"], p["g"])
+    with _preconditions(written):
         a_set = covering.near_level_set(spec.g, p["epsilon"], p["resolution"])
         _, measures, n_eff = covering.intersection_sequence(
             a_set, spec, p["n_max"], write_level if p["pbm"] else None)
         fit = covering.decay_fit(measures)
-    except (ValueError, TypeError) as exc:
-        for path in written:
-            os.remove(path)
-        _fail_precondition(exc)
     covering.write_measures_csv(p["output"], measures)
     click.echo(f"levels 0..{n_eff}: rate={fit.rate:.4f} r2={fit.r2:.4f}; "
                f"wrote {p['output']}")

@@ -22,7 +22,6 @@ from .fn_core import (
     GraphSample,
     dimension_formula,
     draw_coefficients,
-    draw_groups,
     effective_order,
     evaluate_many,
     fit_line,
@@ -113,9 +112,8 @@ def box_dimension_scan(spec: FunctionSpec, seeds, scales, m: int | None = None) 
     """Seed-averaged box dimension: fit the mean of log N(eps) over draws.
 
     Each draw is truncated at the spec's effective order and sampled at m
-    points, by default box_count's 8 per column of the finest scale.  The
-    draws are sampled a group at a time (see draw_groups), all of a group
-    in one level pass.  The least-squares slope is linear in log N, so this
+    points, by default box_count's 8 per column of the finest scale, through
+    sample_graphs.  The least-squares slope is linear in log N, so this
     equals the mean of the per-seed slopes; both are reported.
     """
     arr = _check_scales(scales)
@@ -125,9 +123,8 @@ def box_dimension_scan(spec: FunctionSpec, seeds, scales, m: int | None = None) 
     if m is None:
         m = int(round(8 / float(arr[-1]))) + 1
     order = effective_order(spec)
-    counts = []
-    for group in draw_groups((draw_coefficients(spec, s, order) for s in seeds), m):
-        counts += [[box_count(sample, e) for e in arr] for sample in sample_graphs(spec, group, m)]
+    draws = (draw_coefficients(spec, s, order) for s in seeds)
+    counts = [[box_count(sample, e) for e in arr] for sample in sample_graphs(spec, draws, m)]
     log_counts = np.log(np.asarray(counts, dtype=np.float64))
     mean_logs = log_counts.mean(axis=0)
     x = -np.log(arr)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import itertools
 import math
 import warnings
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,6 +95,15 @@ def base_function(name: str) -> BaseFunction:
 # frequency sequences
 # ---------------------------------------------------------------------------
 
+def _finite(name: str, values) -> tuple:
+    """values as a tuple of floats; ValueError naming the first inf or nan among them."""
+    values = tuple(float(v) for v in values)
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    return values
+
+
 @lru_cache(maxsize=None)
 def _rational_power(b: float, n: int) -> Fraction:
     return Fraction(b) ** n
@@ -105,8 +116,8 @@ class GeometricFrequencies:
     b: float
 
     def __post_init__(self):
-        if not self.b > 1.0:
-            raise ValueError(f"frequency ratio must exceed 1, got {self.b}")
+        if not 1.0 < self.b < math.inf:
+            raise ValueError(f"frequency ratio must be finite and exceed 1, got {self.b}")
 
     @property
     def is_integer(self) -> bool:
@@ -131,10 +142,10 @@ class ExplicitFrequencies:
     b: float
 
     def __post_init__(self):
-        seq = tuple(float(v) for v in self.b_seq)
+        seq = _finite("b_seq entries", self.b_seq)
         object.__setattr__(self, "b_seq", seq)
-        if not self.b > 1.0:
-            raise ValueError(f"ratio lower bound must exceed 1, got {self.b}")
+        if not 1.0 < self.b < math.inf:
+            raise ValueError(f"ratio lower bound must be finite and exceed 1, got {self.b}")
         if not seq:
             raise ValueError("b_seq must be nonempty")
         if seq[0] != 1.0:
@@ -188,7 +199,7 @@ class FunctionSpec:
     def __post_init__(self):
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"amplitude base a must lie in (0, 1), got {self.a}")
-        object.__setattr__(self, "phases", tuple(float(t) for t in self.phases))
+        object.__setattr__(self, "phases", _finite("phases", self.phases))
         b = self.freq.b
         theta_zero = all(t == 0.0 for t in self.phases)
         object.__setattr__(self, "ab_gt1", self.a * b > 1.0)
@@ -376,7 +387,7 @@ def reduced_arguments(spec: FunctionSpec, n: int, xs) -> np.ndarray:
 _WORKER_THREADS = contextvars.ContextVar("wlab_worker_threads", default=1)
 _MIN_CHUNK = 1 << 14   # fewest points worth a thread of their own
 _BLOCK = 1 << 15       # most points one level pass of the shared kernel touches
-_GROUP_DOUBLES = 1 << 22   # most output doubles (rows x points) one group of draws keeps alive
+_GROUP_DOUBLES = 1 << 22   # most output doubles (rows x points) sample_graphs keeps alive
 
 
 @contextlib.contextmanager
@@ -415,7 +426,8 @@ def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> lis
         raise ValueError("need at least one draw")
     for draw in draws:
         if order > draw.order:
-            raise ValueError(f"order {order} exceeds draw.order {draw.order}")
+            raise ValueError(f"order {order} exceeds draw.order {draw.order}: "
+                             "the draw has too few coefficients")
     max_order = spec.freq.max_order
     if max_order is not None and order > max_order:
         raise ValueError(f"order {order} exceeds the {max_order} explicit frequencies")
@@ -454,18 +466,6 @@ def evaluate_many(spec: FunctionSpec, draw: CoefficientDraw, xs, order: int) -> 
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     return _evaluate_rows(spec, [draw], xs.ravel(), order)[0].reshape(xs.shape)
-
-
-def draw_groups(draws, m: int) -> list:
-    """The draws cut into consecutive groups whose rows of m doubles fit in 2^22 doubles.
-
-    Each group holds at least one draw.  A caller that samples and consumes
-    one group at a time keeps at most one group's rows alive, whatever the
-    number of draws.
-    """
-    draws = list(draws)
-    per = max(1, _GROUP_DOUBLES // m)
-    return [draws[i:i + per] for i in range(0, len(draws), per)]
 
 
 @dataclass(frozen=True)
@@ -507,30 +507,36 @@ class GraphSample:
 
 
 def sample_graphs(spec: FunctionSpec, draws, m: int,
-                  tol: float | None = None) -> list:
-    """Sample f of each draw on one uniform m-point grid over [0, 1], in one level pass.
+                  tol: float | None = None) -> Iterator[GraphSample]:
+    """Yield f of each draw sampled on one uniform m-point grid over [0, 1], in draw order.
 
-    The samples share one xs array, and each sample's ys has the bits that
-    sample_graph gives for its draw alone.  The k rows of m doubles are all
-    alive at once; draw_groups bounds that for many draws.
+    The draws may be any iterable.  They are pulled a group at a time, at
+    most 2^22 doubles of rows and at least one draw per group, and each group
+    is sampled in one level pass, so a caller that consumes each sample
+    before asking for the next keeps about one group's rows alive, whatever
+    the number of draws.  The samples share one xs array, and each sample's
+    ys has the bits that sample_graph gives for its draw alone.
     """
     if m < 2:
         raise ValueError(f"need at least 2 sample points, got {m}")
     order = effective_order(spec, tol)
-    draws = list(draws)
-    for draw in draws:
-        if order > draw.order:
-            raise ValueError(f"draw has {draw.order} coefficients but the tolerance needs {order}")
     xs = np.linspace(0.0, 1.0, m)
     bound = tail_bound(spec, order)
-    return [GraphSample(xs=xs, ys=ys, truncation_order=order, tail_bound=bound)
-            for ys in _evaluate_rows(spec, draws, xs, order)]
+    draws = iter(draws)
+    per = max(1, _GROUP_DOUBLES // m)
+    group = list(itertools.islice(draws, per))   # empty only without draws, which the kernel rejects
+    while True:
+        yield from (GraphSample(xs=xs, ys=ys, truncation_order=order, tail_bound=bound)
+                    for ys in _evaluate_rows(spec, group, xs, order))
+        group = list(itertools.islice(draws, per))
+        if not group:
+            return
 
 
 def sample_graph(spec: FunctionSpec, draw: CoefficientDraw, m: int,
                  tol: float | None = None) -> GraphSample:
     """Sample f on the uniform m-point grid over [0, 1]."""
-    return sample_graphs(spec, [draw], m, tol)[0]
+    return next(sample_graphs(spec, [draw], m, tol))
 
 
 def dimension_formula(spec: FunctionSpec) -> float:

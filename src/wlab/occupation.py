@@ -185,6 +185,11 @@ class ParsevalReport:
         }
 
 
+def fourier_step(density: OccupationDensity) -> float:
+    """Frequency spacing 0.9 pi/(hi - lo), under the bound pi/(hi - lo) of parseval_check."""
+    return 0.9 * math.pi / (density.hi - density.lo)
+
+
 def parseval_check(density: OccupationDensity, profile: FourierProfile,
                    u_max: float) -> ParsevalReport:
     """Relative gap between the truncated Fourier L2 mass and the density's.

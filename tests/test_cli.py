@@ -105,6 +105,30 @@ def test_scan_sizes_it_cannot_use_exit_3(runner, tmp_path, args, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, named", [
+    (["gen", "--a", "1.5"], "must lie in (0, 1), got 1.5"),
+    (["boxdim", "--a", "1.5"], "must lie in (0, 1), got 1.5"),
+    (["energy", "--a", "1.5"], "must lie in (0, 1), got 1.5"),
+    (["occ", "--a", "1.5"], "must lie in (0, 1), got 1.5"),
+    (["cover", "--pbm", "--a", "1.5"], "must lie in (0, 1), got 1.5"),
+    (["gen", "--phases", "inf"], "phases must be finite, got inf"),
+    (["gen", "--phases", "0.1,nan"], "phases must be finite, got nan"),
+    (["gen", "--b", "inf"], "frequency ratio must be finite and exceed 1, got inf"),
+    (["gen", "--b-seq", "1,inf", "--b", "2"], "b_seq entries must be finite, got inf"),
+    (["cover", "--pbm", "--b", "inf"], "frequency ratio must be finite and exceed 1, got inf"),
+], ids=["gen-a", "boxdim-a", "energy-a", "occ-a", "cover-a",
+        "gen-phases-inf", "gen-phases-nan", "gen-b-inf", "gen-b-seq-inf", "cover-b-inf"])
+def test_bad_spec_exits_3_before_any_work(runner, tmp_path, args, named):
+    out = tmp_path / "out"
+    out.mkdir()
+    result = runner.invoke(main, args + ["--output", str(out / "result.csv")])
+    assert result.exit_code == 3, result.output
+    errors = [line for line in result.output.splitlines() if "error" in line.lower()]
+    assert len(errors) == 1 and errors[0].startswith("error: ") and named in errors[0], errors
+    assert "Traceback" not in result.output
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("args, config", [
     (["gen", "--phases", "0.1,x"], None),
     (["gen", "--b-seq", "1,2,y"], None),

@@ -96,6 +96,21 @@ def test_explicit_frequencies_validated():
     assert freq.max_order == 4
 
 
+@pytest.mark.parametrize("make, named", [
+    (lambda: geometric(math.inf), "frequency ratio must be finite and exceed 1, got inf"),
+    (lambda: geometric(math.nan), "got nan"),
+    (lambda: explicit([1.0, math.inf], 2.0), "b_seq entries must be finite, got inf"),
+    (lambda: explicit([1.0, 2.0, math.nan], 2.0), "b_seq entries must be finite, got nan"),
+    (lambda: explicit([1.0, 4.0], math.inf), "ratio lower bound must be finite"),
+    (lambda: build_spec(0.8, geometric(2.0), phases=(0.1, -math.inf)),
+     "phases must be finite, got -inf"),
+    (lambda: build_spec(0.8, geometric(2.0), phases=(math.nan,)), "phases must be finite, got nan"),
+], ids=["b-inf", "b-nan", "b_seq-inf", "b_seq-nan", "b-bound-inf", "phase-inf", "phase-nan"])
+def test_non_finite_spec_values_rejected(make, named):
+    with pytest.raises(ValueError, match=named):
+        make()
+
+
 def test_flags_not_user_settable():
     spec = fn_core.FunctionSpec(a=0.9, freq=geometric(1.5))
     # a*b = 1.35 > 1 but a^2 b = 1.215 > 1; both recomputed in __post_init__
@@ -474,24 +489,38 @@ def test_sample_graph_needs_two_points_and_enough_coefficients():
 def test_sample_graphs_share_xs_and_keep_each_draws_bits():
     spec = build_spec(0.8, geometric(2.0))
     draws = [draw_coefficients(spec, seed, 96) for seed in (1, 2, 3)]
-    samples = sample_graphs(spec, draws, 4097)
+    samples = list(sample_graphs(spec, draws, 4097))
     assert len(samples) == 3
     for draw, s in zip(draws, samples):
         assert s.xs is samples[0].xs
         assert np.array_equal(s.ys.view(np.uint64),
                               sample_graph(spec, draw, 4097).ys.view(np.uint64))
-    with pytest.raises(ValueError, match="at least one draw"):
-        sample_graphs(spec, [], 16)
     with pytest.raises(ValueError, match="coefficients"):
-        sample_graphs(spec, [draws[0], draw_coefficients(spec, 4, 3)], 16)
+        list(sample_graphs(spec, [draws[0], draw_coefficients(spec, 4, 3)], 16))
 
 
-def test_draw_groups_bound_rows_and_keep_order():
-    draws = list(range(10))
-    m = fn_core._GROUP_DOUBLES // 4
-    assert fn_core.draw_groups(draws, m) == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-    assert fn_core.draw_groups(draws, fn_core._GROUP_DOUBLES + 1) == [[d] for d in draws]
-    assert fn_core.draw_groups(iter(draws[:3]), 2) == [[0, 1, 2]]
+@pytest.mark.parametrize("rows, per", [(3, 3), (0.5, 1)], ids=["groups-of-3", "row-over-budget"])
+def test_sample_graphs_pull_draws_one_group_at_a_time(monkeypatch, rows, per):
+    # a budget of `rows` rows of m doubles: groups of `per` draws, at least one
+    spec = build_spec(0.8, geometric(2.0))
+    m = 1025
+    monkeypatch.setattr(fn_core, "_GROUP_DOUBLES", int(rows * m))
+    pulled = []
+
+    def draws():
+        for seed in range(7):
+            pulled.append(seed)
+            yield draw_coefficients(spec, seed, 96)
+
+    n = 0
+    for i, s in enumerate(sample_graphs(spec, draws(), m)):
+        assert pulled == list(range(min(7, (i // per + 1) * per))), i
+        alone = sample_graph(spec, draw_coefficients(spec, i, 96), m)
+        assert np.array_equal(s.ys.view(np.uint64), alone.ys.view(np.uint64)), i
+        n += 1
+    assert n == 7
+    with pytest.raises(ValueError, match="at least one draw"):
+        list(sample_graphs(spec, iter([]), m))
 
 
 def test_sample_graph_csv_round_trip(tmp_path):

@@ -17,6 +17,7 @@ from wlab.occupation import (
     adaptive_char_profile,
     char_function_mc,
     char_function_profile,
+    fourier_step,
     increment_half_widths,
     occupation_histogram,
     pair_product_bound,
@@ -145,8 +146,7 @@ def test_adaptive_profile_reaches_decay():
     # the decay target must sit above the empirical noise floor ~ log(n)/m
     _, s = _weier_sample(m=2 ** 16)
     dens = occupation_histogram(s, 256)
-    du = 0.9 * math.pi / (dens.hi - dens.lo)
-    prof, reached = adaptive_char_profile(s, du=du, decay_target=1e-3)
+    prof, reached = adaptive_char_profile(s, du=fourier_step(dens), decay_target=1e-3)
     assert reached
     half = len(prof.us) // 2
     tail = prof.abs_sq()[int(half * 1.5):]
@@ -204,8 +204,7 @@ def test_parseval_requires_coverage():
 def test_parseval_weierstrass_draw():
     _, s = _weier_sample(m=2 ** 17)
     dens = occupation_histogram(s, 256)
-    du = 0.9 * math.pi / (dens.hi - dens.lo)
-    prof, reached = adaptive_char_profile(s, du=du, decay_target=1e-4)
+    prof, reached = adaptive_char_profile(s, du=fourier_step(dens), decay_target=1e-4)
     rep = parseval_check(dens, prof, float(prof.us[-1]))
     assert reached
     assert rep.discrepancy < 0.10
@@ -431,8 +430,7 @@ def test_reports_json_serializable(tmp_path):
 
     _, s = _weier_sample(m=2 ** 14)
     dens = occupation_histogram(s, 64)
-    du = 0.9 * math.pi / (dens.hi - dens.lo)
-    prof = char_function_profile(s, du=du, u_max=40.0)
+    prof = char_function_profile(s, du=fourier_step(dens), u_max=40.0)
     parseval = parseval_check(dens, prof, 40.0)
     doc = json.loads(json.dumps(parseval.to_json_dict()))
     assert "discrepancy" in doc and "tail_estimate" in doc

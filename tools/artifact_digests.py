@@ -3,7 +3,8 @@
 Runs each CLI command at its defaults (plus a non-integer b, an explicit
 frequency sequence with phases, a phased gen on integer b, a phased cover,
 a phased cover on b = 2.5 with PBMs, whose cell indices do not tile the
-grid, and a cos2 cover with PBMs, whose near-level set takes the generic path)
+grid, a cos2 cover with PBMs, whose near-level set takes the generic path,
+and a boxdim of 40 draws at m = 2^17 + 1, whose rows span two draw groups)
 into a temporary directory, then calls the writers only the library
 reaches (first-hit measures for zero-phase cos and phased cos2, and a
 characteristic-function profile).  Prints one ``sha256 path`` line per
@@ -46,6 +47,7 @@ RUNS = [
      "--output", "gen_bseq.csv"],
     ["gen", "--phases", PHASES, "--output", "gen_phases.csv"],
     ["boxdim", "--output", "boxdim.json"],
+    ["boxdim", "--seeds", "40", "--m", "131073", "--output", "boxdim_groups.json"],
     ["energy", "--output", "energy.csv"],
     ["occ", "--output", "density.csv"],
     ["cover", "--pbm", "--output", "cover.csv"],
