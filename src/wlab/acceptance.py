@@ -226,7 +226,7 @@ def criterion_7(profile: AcceptanceProfile) -> CriterionResult:
     line = fn_core.GraphSample(xs=xs, ys=xs.copy(), truncation_order=0, tail_bound=0.0)
     dens = occupation.occupation_histogram(line, 256)
     prof = occupation.char_function_profile(line, du=0.2, u_max=200.0)
-    rep_line = occupation.parseval_check(dens, prof, 200.0)
+    rep_line = occupation.parseval_check(dens, prof)
 
     spec = _weierstrass_spec()
     order = fn_core.effective_order(spec)
@@ -235,7 +235,7 @@ def criterion_7(profile: AcceptanceProfile) -> CriterionResult:
     densw = occupation.occupation_histogram(sample, 256)
     profw, reached = occupation.adaptive_char_profile(
         sample, du=occupation.fourier_step(densw), decay_target=profile.parseval_decay_target)
-    rep_weier = occupation.parseval_check(densw, profw, float(profw.us[-1]))
+    rep_weier = occupation.parseval_check(densw, profw)
 
     passed = rep_line.discrepancy < 0.01 and reached and rep_weier.discrepancy < 0.10
     return CriterionResult(
@@ -324,8 +324,7 @@ def criterion_10(profile: AcceptanceProfile) -> CriterionResult:
     res = 256
     fast_set = covering.near_level_set(fn_core.COS, 0.05, res, method="factorized")
     gen_set = covering.near_level_set(fn_core.COS, 0.05, res, method="generic")
-    within = (fast_set.contains_within(gen_set, 1)
-              and gen_set.contains_within(fast_set, 1))
+    within = fast_set.contains_within(gen_set) and gen_set.contains_within(fast_set)
     sym_diff = (fast_set ^ gen_set).measure()
     passed = matches == profile.oracle_samples and within
     return CriterionResult(

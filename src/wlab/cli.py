@@ -2,7 +2,8 @@
 
 All randomness flows from one --seed; sub-seeds derive from fixed labels, so
 a run with an identical configuration produces byte-identical output files.
-A flat key=value config file supplies defaults that explicit flags override.
+A flat key=value config file supplies defaults; click resolves each value as
+flag > WLAB_THREADS > config file > default.
 Exit codes: 2 for configuration errors, 3 for precondition failures inside a
 module, and for verify-all 0/1 for pass/fail.
 """
@@ -38,9 +39,11 @@ def _preconditions(written=()):
         sys.exit(PRECONDITION_EXIT)
 
 
-def _read_config(path: str | None) -> dict:
+def _load_config(ctx: click.Context, param, path: str | None) -> None:
+    """Eager: the key=value file becomes this command's default_map, so click takes
+    each value from the flag, then WLAB_THREADS, then the file, then the default."""
     if path is None:
-        return {}
+        return
     values = {}
     try:
         with open(path) as fh:
@@ -56,61 +59,45 @@ def _read_config(path: str | None) -> dict:
                 values[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
         raise click.UsageError(f"cannot read config {path}: {exc}") from exc
-    return values
-
-
-def _merge_config(ctx: click.Context, config: str | None, **kwargs) -> dict:
-    """Config-file values override defaults; explicit flags override both."""
-    file_values = _read_config(config)
-    merged = {}
-    for name, value in kwargs.items():
-        source = ctx.get_parameter_source(name)
-        if name in file_values and source != click.core.ParameterSource.COMMANDLINE:
-            param = next(p for p in ctx.command.params if p.name == name)
-            merged[name] = param.type.convert(file_values[name], param, ctx)
-        else:
-            merged[name] = value
-    unknown = set(file_values) - set(kwargs)
+    unknown = set(values) - {p.name for p in ctx.command.params if p is not param}
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-    return merged
+    ctx.default_map = values
 
 
-def _check_output_dir(path: str) -> None:
+def _check_output_dir(ctx: click.Context, param, path: str | None) -> str | None:
     """Exit 2 before any work when the directory an output goes to is missing."""
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        click.echo(f"error: output directory {parent} does not exist", err=True)
-        sys.exit(CONFIG_EXIT)
+    if path is not None:
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            click.echo(f"error: output directory {parent} does not exist", err=True)
+            sys.exit(CONFIG_EXIT)
+    return path
 
 
-def _command_params(ctx: click.Context, kwargs: dict) -> tuple:
-    """Merged parameters of a command that writes --output, and the spec they give.
-
-    The output directory is checked, the thread count holds until the
-    command's context closes, and the spec is built before any work, so a
-    spec the library rejects exits 3 at once.
-    """
-    p = _merge_config(ctx, kwargs.pop("config"), **kwargs)
-    _check_output_dir(p["output"])
-    ctx.with_resource(fn_core.worker_threads(p["threads"]))
-    with _preconditions():
-        freq = fn_core.explicit(p["b_seq"], p["b"]) if p["b_seq"] else fn_core.geometric(p["b"])
-        spec = fn_core.build_spec(p["a"], freq, phases=p["phases"] or (),
-                                  g=fn_core.base_function(p["g"]))
-    return p, spec
+def _enter_threads(ctx: click.Context, param, n: int) -> None:
+    """Hold the thread count until the command ends.  The root context owns it: when a
+    later option fails to parse, click closes only the root, and that still undoes it."""
+    ctx.find_root().with_resource(fn_core.worker_threads(n))
 
 
-class FloatList(click.ParamType):
-    """Comma-separated numbers; an entry that is not one is a usage error (exit 2)."""
+def _spec(a, b, b_seq, phases, g, **_) -> fn_core.FunctionSpec:
+    freq = fn_core.explicit(b_seq, b) if b_seq else fn_core.geometric(b)
+    return fn_core.build_spec(a, freq, phases=phases or (), g=fn_core.base_function(g))
 
-    name = "floats"
+
+class NumberList(click.ParamType):
+    """Comma-separated numbers read by cast; an entry it rejects is a usage error (exit 2)."""
+
+    def __init__(self, cast):
+        self.cast = cast
+        self.name = "integers" if cast is int else "numbers"
 
     def convert(self, value, param, ctx):
         try:  # an empty value is no numbers, so `phases=` in a config file means none
-            return tuple(float(v) for v in value.split(",")) if value.strip() else ()
+            return tuple(self.cast(v) for v in value.split(",")) if value.strip() else ()
         except ValueError:
-            self.fail(f"{value!r} is not a comma-separated list of numbers", param, ctx)
+            self.fail(f"{value!r} is not a comma-separated list of {self.name}", param, ctx)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -123,9 +110,9 @@ def spec_options(fn):
     fn = click.option("--g", default="cos", show_default=True,
                       type=click.Choice(sorted(fn_core.BUILTIN_BASE_FUNCTIONS)),
                       help="Built-in base function.")(fn)
-    fn = click.option("--phases", type=FloatList(), default=None,
+    fn = click.option("--phases", type=NumberList(float), default=None,
                       help="Comma-separated phase offsets (default all 0).")(fn)
-    fn = click.option("--b-seq", type=FloatList(), default=None,
+    fn = click.option("--b-seq", type=NumberList(float), default=None,
                       help="Explicit comma-separated frequency sequence (b0 must be 1).")(fn)
     fn = click.option("--b", default=2.0, show_default=True,
                       help="Frequency ratio (or ratio lower bound with --b-seq).")(fn)
@@ -136,16 +123,22 @@ def spec_options(fn):
 
 threads_option = click.option(
     "--threads", type=click.IntRange(min=1), default=1, show_default=True,
-    envvar="WLAB_THREADS", show_envvar=True,
+    envvar="WLAB_THREADS", show_envvar=True, callback=_enter_threads, expose_value=False,
     help="Threads that evaluate f; results are the same for any count.")
 
 
 def common_options(fn):
     fn = threads_option(fn)
-    fn = click.option("--config", type=click.Path(), default=None,
+    fn = click.option("--config", type=click.Path(), default=None, is_eager=True,
+                      callback=_load_config, expose_value=False,
                       help="key=value file of defaults for this command.")(fn)
     fn = click.option("--seed", default=7, show_default=True, help="Master seed.")(fn)
     return fn
+
+
+def output_option(default):
+    return click.option("--output", default=default, show_default=True,
+                        callback=_check_output_dir)
 
 
 @click.group()
@@ -159,21 +152,20 @@ def main():
 @common_options
 @click.option("--points", default=4096, show_default=True, help="Samples on [0, 1].")
 @click.option("--tol", type=float, default=None, help="Truncation tolerance.")
-@click.option("--output", default="sample.csv", show_default=True)
+@output_option("sample.csv")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@click.pass_context
-def gen(ctx, **kwargs):
+def gen(**p):
     """Sample one random draw of f on a uniform grid."""
-    p, spec = _command_params(ctx, kwargs)
     with _preconditions():
+        spec = _spec(**p)
         order = fn_core.effective_order(spec, p["tol"])
         draw = fn_core.draw_coefficients(spec, p["seed"], max(order, 1))
         sample = fn_core.sample_graph(spec, draw, p["points"], p["tol"])
     if p["fmt"] == "csv":
         sample.write_csv(p["output"])
     else:
-        _write_json(p["output"], sample.to_json_dict(spec=spec, seed=p["seed"]))
+        _write_json(p["output"], sample.to_json_dict(spec, p["seed"]))
     click.echo(f"wrote {p['output']} ({p['points']} points, order {sample.truncation_order})")
 
 
@@ -186,12 +178,11 @@ def gen(ctx, **kwargs):
 @click.option("--max-scale-exp", default=12, show_default=True,
               help="Finest scale 2^-k.")
 @click.option("--m", type=int, default=None, help="Samples (default: from finest scale).")
-@click.option("--output", default="boxdim.json", show_default=True)
-@click.pass_context
-def boxdim(ctx, **kwargs):
+@output_option("boxdim.json")
+def boxdim(**p):
     """Box-counting dimension of graph(f) against the predicted value."""
-    p, spec = _command_params(ctx, kwargs)
     with _preconditions():
+        spec = _spec(**p)
         scales = [2.0 ** -k for k in range(p["min_scale_exp"], p["max_scale_exp"] + 1)]
         est = dimension.box_dimension_scan(
             spec,
@@ -212,18 +203,16 @@ def boxdim(ctx, **kwargs):
 @main.command()
 @spec_options
 @common_options
-@click.option("--t-grid", type=FloatList(), default="1.2,1.4,1.6,1.9", show_default=True,
-              help="Comma-separated exponents in (1, 2).")
+@click.option("--t-grid", type=NumberList(float), default="1.2,1.4,1.6,1.9",
+              show_default=True, help="Comma-separated exponents in (1, 2).")
 @click.option("--pairs", default=400_000, show_default=True)
 @click.option("--seeds", default=6, show_default=True)
-@click.option("--output", default="energy.csv", show_default=True)
-@click.pass_context
-def energy(ctx, **kwargs):
+@output_option("energy.csv")
+def energy(**p):
     """Monte Carlo t-energy scan with stability verdicts."""
-    p, spec = _command_params(ctx, kwargs)
     with _preconditions():
         entries = dimension.energy_threshold_scan(
-            spec, p["t_grid"], p["pairs"],
+            _spec(**p), p["t_grid"], p["pairs"],
             seeds=[p["seed"] + i for i in range(p["seeds"])],
         )
     dimension.write_scan_csv(p["output"], entries)
@@ -239,18 +228,17 @@ def energy(ctx, **kwargs):
 @click.option("--bins", default=256, show_default=True)
 @click.option("--decay-target", default=1e-4, show_default=True,
               help="Grow u_max until the last octave of |mu|^2 dips below this.")
-@click.option("--output", default="density.csv", show_default=True)
-@click.pass_context
-def occ(ctx, **kwargs):
+@output_option("density.csv")
+def occ(**p):
     """Occupation density, its L2 norm, and the Parseval cross-check."""
-    p, spec = _command_params(ctx, kwargs)
     with _preconditions():
+        spec = _spec(**p)
         draw = fn_core.draw_coefficients(spec, p["seed"], max(fn_core.effective_order(spec), 1))
         sample = fn_core.sample_graph(spec, draw, p["samples"])
         dens = occupation.occupation_histogram(sample, p["bins"])
         profile, reached = occupation.adaptive_char_profile(
             sample, du=occupation.fourier_step(dens), decay_target=p["decay_target"])
-        report = occupation.parseval_check(dens, profile, float(profile.us[-1]))
+        report = occupation.parseval_check(dens, profile)
     dens.write_csv(p["output"])
     base = os.path.splitext(p["output"])[0]
     _write_json(base + "_parseval.json", {
@@ -272,11 +260,9 @@ def occ(ctx, **kwargs):
 @click.option("--resolution", default=2048, show_default=True)
 @click.option("--pbm/--no-pbm", default=False, show_default=True,
               help="Also write PBM bitmaps of each intersection level.")
-@click.option("--output", default="cover.csv", show_default=True)
-@click.pass_context
-def cover(ctx, **kwargs):
+@output_option("cover.csv")
+def cover(**p):
     """Near-level set of g, its iterated intersections, and their decay."""
-    p, spec = _command_params(ctx, kwargs)
     base = os.path.splitext(p["output"])[0]
     written = []
 
@@ -286,6 +272,7 @@ def cover(ctx, **kwargs):
         s.write_pbm(written[-1])
 
     with _preconditions(written):
+        spec = _spec(**p)
         a_set = covering.near_level_set(spec.g, p["epsilon"], p["resolution"])
         _, measures, n_eff = covering.intersection_sequence(
             a_set, spec, p["n_max"], write_level if p["pbm"] else None)
@@ -298,28 +285,17 @@ def cover(ctx, **kwargs):
 @main.command(name="verify-all")
 @click.option("--profile", default="desk", show_default=True,
               type=click.Choice(sorted(acceptance.PROFILES)))
-@click.option("--criteria", default=None,
+@click.option("--criteria", type=NumberList(int), default=None,
               help="Comma-separated subset, e.g. 1,4,10 (default: all).")
-@click.option("--report", default=None, type=click.Path(),
+@click.option("--report", default=None, type=click.Path(), callback=_check_output_dir,
               help="Also write a JSON report here.")
 @threads_option
-@click.pass_context
-def verify_all(ctx, profile, criteria, report, threads):
+def verify_all(profile, criteria, report):
     """Run the acceptance criteria; exit 0 iff every one passes."""
-    if report:
-        _check_output_dir(report)
-    ctx.with_resource(fn_core.worker_threads(threads))
-    prof = acceptance.PROFILES[profile]
-    selected = None
-    if criteria:
-        try:
-            selected = [int(v) for v in criteria.split(",")]
-            unknown = set(selected) - set(acceptance.CRITERIA)
-            if unknown:
-                raise ValueError(f"unknown criteria {sorted(unknown)}")
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
-    results = acceptance.run_all(prof, selected)
+    unknown = set(criteria or ()) - set(acceptance.CRITERIA)
+    if unknown:
+        raise click.UsageError(f"unknown criteria {sorted(unknown)}")
+    results = acceptance.run_all(acceptance.PROFILES[profile], criteria or None)
     for r in results:
         click.echo(r.line())
     if report:

@@ -59,38 +59,36 @@ class GridSet:
     def __eq__(self, other) -> bool:
         return isinstance(other, GridSet) and np.array_equal(self.bits, other.bits)
 
-    def dilate(self, steps: int = 1) -> "GridSet":
-        """Chebyshev dilation with periodic wrap (the sets are torus-periodic).
+    def dilate(self) -> "GridSet":
+        """Chebyshev dilation by one cell with periodic wrap (the sets are torus-periodic).
 
-        The 3 x 3 window is separable.  Each step ORs the shifted rows of its
-        untouched source into one copy, then ORs the shifted columns of that
-        copy in place from a saved block of rows, so a step holds two m x m
-        bitmaps and one block.
+        The 3 x 3 window is separable.  The shifted rows of the untouched
+        source are ORed into one copy, then the shifted columns of that copy
+        are ORed in place from a saved block of rows, so a dilation holds two
+        m x m bitmaps and one block.
         """
-        out = self.bits
-        m = out.shape[0]
+        src = self.bits
+        m = src.shape[0]
         rows = max(1, _MASK_BLOCK // m)
         buf = np.empty((min(rows, m), m), dtype=bool)
-        for _ in range(steps):
-            src, out = out, out.copy()
-            out[1:] |= src[:-1]
-            out[0] |= src[-1]
-            out[:-1] |= src[1:]
-            out[-1] |= src[0]
-            del src
-            for lo in range(0, m, rows):
-                blk = out[lo:lo + rows]
-                saved = buf[:blk.shape[0]]
-                saved[...] = blk
-                blk[:, 1:] |= saved[:, :-1]
-                blk[:, 0] |= saved[:, -1]
-                blk[:, :-1] |= saved[:, 1:]
-                blk[:, -1] |= saved[:, 0]
+        out = src.copy()
+        out[1:] |= src[:-1]
+        out[0] |= src[-1]
+        out[:-1] |= src[1:]
+        out[-1] |= src[0]
+        for lo in range(0, m, rows):
+            blk = out[lo:lo + rows]
+            saved = buf[:blk.shape[0]]
+            saved[...] = blk
+            blk[:, 1:] |= saved[:, :-1]
+            blk[:, 0] |= saved[:, -1]
+            blk[:, :-1] |= saved[:, 1:]
+            blk[:, -1] |= saved[:, 0]
         return GridSet(out)
 
-    def contains_within(self, other: "GridSet", fringe: int = 1) -> bool:
-        """True when every cell of self lies within ``fringe`` cells of other."""
-        return not np.any(self.bits & ~other.dilate(fringe).bits)
+    def contains_within(self, other: "GridSet") -> bool:
+        """True when every cell of self lies within one cell of other."""
+        return not np.any(self.bits & ~other.dilate().bits)
 
     def write_pbm(self, path) -> None:
         """Plain PBM (P1); rows are y top-to-bottom for visual inspection."""
@@ -156,7 +154,7 @@ def near_level_set(g: BaseFunction, epsilon: float, resolution: int,
         marked = ~_far_mask(2.0 * np.sin(math.pi * centers) ** 2, epsilon)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return GridSet(marked).dilate(1)
+    return GridSet(marked).dilate()
 
 
 def oscillation_level_set(spec: FunctionSpec, n: int, epsilon: float,

@@ -191,18 +191,18 @@ def _pair_distances_sq(spec: FunctionSpec, draw: CoefficientDraw, order: int,
 
 
 def energy_estimate(spec: FunctionSpec, draw: CoefficientDraw, t: float,
-                    n_pairs: int, seed: int, order: int | None = None) -> EnergyEstimate:
+                    n_pairs: int, seed: int) -> EnergyEstimate:
     """Monte Carlo mean of ((x-y)^2 + (f(x)-f(y))^2)^(-t/2) over uniform pairs.
 
-    Integrable singularities near the diagonal surface as heavy-tailed
-    standard errors; they are reported, never clipped.
+    f sums all draw.order terms of the draw.  Integrable singularities near
+    the diagonal surface as heavy-tailed standard errors; they are reported,
+    never clipped.
     """
     if not 0.0 <= t < 2.0:
         raise ValueError(f"t must lie in [0, 2), got {t}")
     if n_pairs < _MIN_PAIRS:
         raise ValueError(f"need >= {_MIN_PAIRS} pairs, got {n_pairs}")
-    order = draw.order if order is None else order
-    w = _pair_distances_sq(spec, draw, order, n_pairs, seed, "energy")
+    w = _pair_distances_sq(spec, draw, draw.order, n_pairs, seed, "energy")
     w **= -0.5 * t   # in place, and the same scalar-power paths as **
     value = float(w.mean())
     se = float(w.std(ddof=1) / math.sqrt(n_pairs))

@@ -491,19 +491,16 @@ class GraphSample:
     def write_csv(self, path) -> None:
         write_rows(path, ("x", "y"), zip(self.xs, self.ys))
 
-    def to_json_dict(self, spec: FunctionSpec | None = None, seed: int | None = None) -> dict:
-        d = {
+    def to_json_dict(self, spec: FunctionSpec, seed: int) -> dict:
+        return {
             "truncation_order": self.truncation_order,
             "tail_bound": self.tail_bound,
             "points": len(self.xs),
             "xs": self.xs.tolist(),
             "ys": self.ys.tolist(),
+            "spec": spec.to_dict(),
+            "seed": seed,
         }
-        if spec is not None:
-            d["spec"] = spec.to_dict()
-        if seed is not None:
-            d["seed"] = seed
-        return d
 
 
 def sample_graphs(spec: FunctionSpec, draws, m: int,

@@ -18,7 +18,6 @@ import numpy as np
 from .fn_core import (
     FunctionSpec,
     GraphSample,
-    effective_order,
     fit_line,
     reduced_arguments,
     write_rows,
@@ -137,20 +136,27 @@ def char_function_profile(sample: GraphSample, du: float, u_max: float) -> Fouri
     return _symmetric_profile(pos, du)
 
 
-def adaptive_char_profile(sample: GraphSample, du: float, decay_target: float = 1e-4,
-                          u_start: float = 64.0, u_cap: float = 4096.0):
+_U_START = 64.0   # the adaptive profile's first range, doubled up to _U_CAP
+_U_CAP = 4096.0
+
+
+def adaptive_char_profile(sample: GraphSample, du: float, decay_target: float = 1e-4):
     """Grow the profile in octaves until the last octave's |mu|^2 dips below target.
 
-    Returns (profile, reached: bool); reached is False when u_cap was hit
-    with the tail still above the target.
+    The range starts at u = 64 and doubles up to 4096.  Returns (profile,
+    reached: bool); reached is False when 4096 was hit with the tail still
+    above the target.  A decay target that is nan or not positive can never
+    be met and is a ValueError.
     """
-    n_steps = int(math.ceil(u_start / du))
+    if not decay_target > 0.0:
+        raise ValueError(f"decay target must be positive, got {decay_target}")
+    n_steps = int(math.ceil(_U_START / du))
     w = np.exp(1j * du * sample.ys)
     z = np.ones_like(w)
     pos = []
     _extend(z, w, pos, n_steps)
     while not max(abs(v) ** 2 for v in pos[len(pos) // 2:]) < decay_target:
-        if len(pos) * du >= u_cap:
+        if len(pos) * du >= _U_CAP:
             return _symmetric_profile(pos, du), False
         _extend(z, w, pos, len(pos))  # double the range
     return _symmetric_profile(pos, du), True
@@ -190,13 +196,13 @@ def fourier_step(density: OccupationDensity) -> float:
     return 0.9 * math.pi / (density.hi - density.lo)
 
 
-def parseval_check(density: OccupationDensity, profile: FourierProfile,
-                   u_max: float) -> ParsevalReport:
+def parseval_check(density: OccupationDensity, profile: FourierProfile) -> ParsevalReport:
     """Relative gap between the truncated Fourier L2 mass and the density's.
 
     Convention mu_hat(u) = int exp(iut) dmu implies int |mu_hat|^2 du =
-    2 pi int rho^2.  The tail beyond u_max is estimated from the decay
-    exponent fitted on the last octave and reported, not added in.
+    2 pi int rho^2.  The profile's last frequency is u_max; the tail beyond
+    it is estimated from the decay exponent fitted on the last octave and
+    reported, not added in.
     """
     us = profile.us
     du = float(us[1] - us[0]) if len(us) > 1 else math.inf
@@ -208,18 +214,14 @@ def parseval_check(density: OccupationDensity, profile: FourierProfile,
             f"grid spacing {du:g} exceeds pi/(hi-lo) = {nyquist:g}; the density "
             "cannot be resolved at this sampling"
         )
-    if us[0] > -u_max + 1e-12 or us[-1] < u_max - 1e-12:
-        raise ValueError(f"profile covers [{us[0]:g}, {us[-1]:g}], not +-{u_max:g}")
-
-    inside = np.abs(us) <= u_max * (1.0 + 1e-12)
-    uu = us[inside]
-    vv = profile.abs_sq()[inside]
-    integral = float(np.trapezoid(vv, uu) / (2.0 * math.pi))
+    u_max = float(us[-1])
+    vv = profile.abs_sq()
+    integral = float(np.trapezoid(vv, us) / (2.0 * math.pi))
     discrepancy = abs(integral - density.l2_sq) / density.l2_sq
 
     # last-octave decay fit for the omitted tail, |mu|^2 ~ C u^p
-    octave = (np.abs(uu) >= u_max / 2.0) & (np.abs(uu) > 0.0)
-    lu = np.log(np.abs(uu[octave]))
+    octave = (np.abs(us) >= u_max / 2.0) & (np.abs(us) > 0.0)
+    lu = np.log(np.abs(us[octave]))
     lv = np.log(np.maximum(vv[octave], 1e-300))
     p, logc, _ = fit_line(lu, lv)
     if p < -1.0:
@@ -230,7 +232,7 @@ def parseval_check(density: OccupationDensity, profile: FourierProfile,
         discrepancy=float(discrepancy),
         fourier_integral=integral,
         l2_sq=density.l2_sq,
-        u_max=float(u_max),
+        u_max=u_max,
         tail_estimate=float(tail),
         tail_exponent=float(p),
         degenerate=density.degenerate,
@@ -308,7 +310,7 @@ class DrawAverage:
 
 
 def char_function_mc(spec: FunctionSpec, x: float, y: float, u: float,
-                     n_draws: int, seed: int, order: int | None = None) -> DrawAverage:
+                     n_draws: int, seed: int, order: int) -> DrawAverage:
     """Average cos(u (f(x) - f(y))) over independent coefficient draws.
 
     The imaginary part averages to zero by the symmetry of the coefficient
@@ -317,7 +319,6 @@ def char_function_mc(spec: FunctionSpec, x: float, y: float, u: float,
     """
     if n_draws < 1000:
         raise ValueError(f"need >= 1000 draws, got {n_draws}")
-    order = effective_order(spec) if order is None else order
     hw = increment_half_widths(spec, x, y, order)  # f(x)-f(y) = sum s_n hw_n, s_n ~ U(-1,1)
     cos_sum = 0.0
     cos_sq = 0.0

@@ -93,7 +93,11 @@ def test_boxdim_precondition_exit(runner, tmp_path):
     (["energy", "--seeds", "0"], "seed"),
     (["boxdim", "--seeds", "0"], "seed"),
     (["occ", "--samples", "30000", "--bins", "2"], "bins"),
-], ids=["energy-pairs", "energy-seeds", "boxdim-seeds", "occ-bins"])
+    (["occ", "--samples", "30000", "--decay-target", "nan"], "decay target must be positive, got nan"),
+    (["occ", "--samples", "30000", "--decay-target", "0"], "decay target must be positive, got 0.0"),
+    (["occ", "--samples", "30000", "--decay-target", "-1"], "decay target must be positive, got -1.0"),
+], ids=["energy-pairs", "energy-seeds", "boxdim-seeds", "occ-bins",
+        "occ-decay-nan", "occ-decay-0", "occ-decay-neg"])
 def test_scan_sizes_it_cannot_use_exit_3(runner, tmp_path, args, named):
     out = tmp_path / "out.csv"
     with warnings.catch_warnings(record=True) as caught:
@@ -219,9 +223,45 @@ def test_config_file_defaults_and_flag_override(runner, tmp_path):
 
 def test_config_file_unknown_key(runner, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus=1\n")
-    r = runner.invoke(main, ["gen", "--config", str(cfg)])
-    assert r.exit_code == 2
+    out = tmp_path / "g.csv"
+    for text in ("bogus=1\n", "config=other.cfg\n"):
+        cfg.write_text(text)
+        r = runner.invoke(main, ["gen", "--config", str(cfg), "--output", str(out)])
+        assert r.exit_code == 2, (text, r.output)
+        assert "unknown config keys" in r.output
+        assert not out.exists()
+
+
+@pytest.fixture
+def threads_seen(monkeypatch):
+    """The worker-thread count in force at each fn_core.sample_graph call."""
+    seen = []
+    sample_graph = fn_core.sample_graph
+
+    def recording(*args, **kwargs):
+        seen.append(fn_core._WORKER_THREADS.get())
+        return sample_graph(*args, **kwargs)
+
+    monkeypatch.setattr(fn_core, "sample_graph", recording)
+    return seen
+
+
+@pytest.mark.parametrize("args, env, config, want", [
+    ([], {}, None, 1),
+    ([], {}, "threads=3\n", 3),
+    ([], {"WLAB_THREADS": "2"}, "threads=3\n", 2),
+    (["--threads", "4"], {"WLAB_THREADS": "2"}, "threads=3\n", 4),
+], ids=["default", "config", "env-over-config", "flag-over-env"])
+def test_thread_count_precedence(runner, tmp_path, threads_seen, args, env, config, want):
+    # flag > WLAB_THREADS > config file > default
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        args = args + ["--config", str(cfg)]
+    r = runner.invoke(main, ["gen", "--points", "16", "--output", str(tmp_path / "g.csv")] + args,
+                      env=env)
+    assert r.exit_code == 0, r.output
+    assert threads_seen == [want]
 
 
 def test_verify_all_quick_subset(runner, tmp_path):
@@ -237,8 +277,9 @@ def test_verify_all_quick_subset(runner, tmp_path):
 
 
 def test_verify_all_rejects_unknown_criterion(runner):
-    result = runner.invoke(main, ["verify-all", "--criteria", "99"])
-    assert result.exit_code == 2
+    for criteria in ("99", "1,x"):
+        result = runner.invoke(main, ["verify-all", "--criteria", criteria])
+        assert result.exit_code == 2, (criteria, result.output)
 
 
 def test_verify_all_reports_byte_identical(runner, tmp_path):
@@ -331,17 +372,14 @@ def test_artifacts_identical_for_any_thread_count(runner, tmp_path, command, fil
             assert (tmp_path / name / f).read_bytes() == want, (name, f)
 
 
-def test_thread_setting_ends_with_the_command(runner, tmp_path, monkeypatch):
-    seen = []
-    sample_graph = fn_core.sample_graph
-
-    def recording(*args, **kwargs):
-        seen.append(fn_core._WORKER_THREADS.get())
-        return sample_graph(*args, **kwargs)
-
-    monkeypatch.setattr(fn_core, "sample_graph", recording)
-    r = runner.invoke(main, ["gen", "--points", "16", "--threads", "2",
-                             "--output", str(tmp_path / "g.csv")])
-    assert r.exit_code == 0, r.output
-    assert seen == [2]
-    assert fn_core._WORKER_THREADS.get() == 1
+def test_thread_setting_ends_with_the_command(runner, tmp_path, monkeypatch, threads_seen):
+    monkeypatch.chdir(tmp_path)
+    # --threads is taken first, so a later option that exits 2 must still undo it
+    for args, code, want in [(["--points", "16", "--output", "g.csv"], 0, [2]),
+                             (["--points", "x"], 2, []),
+                             (["--output", "missing/g.csv"], 2, [])]:
+        threads_seen.clear()
+        r = runner.invoke(main, ["gen", "--threads", "2"] + args)
+        assert r.exit_code == code, (args, r.output)
+        assert threads_seen == want
+        assert fn_core._WORKER_THREADS.get() == 1

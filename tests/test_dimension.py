@@ -234,8 +234,8 @@ def test_energy_flat_closed_form():
 def test_energy_monotone_in_t():
     spec = build_spec(0.8, geometric(2.0))
     draw = draw_coefficients(spec, 5, 60)
-    lo = energy_estimate(spec, draw, 0.5, 10 ** 5, seed=11, order=60)
-    hi = energy_estimate(spec, draw, 1.5, 10 ** 5, seed=11, order=60)
+    lo = energy_estimate(spec, draw, 0.5, 10 ** 5, seed=11)
+    hi = energy_estimate(spec, draw, 1.5, 10 ** 5, seed=11)
     assert hi.value > lo.value
 
 

@@ -4,7 +4,8 @@ Runs each CLI command at its defaults (plus a non-integer b, an explicit
 frequency sequence with phases, a phased gen on integer b, a phased cover,
 a phased cover on b = 2.5 with PBMs, whose cell indices do not tile the
 grid, a cos2 cover with PBMs, whose near-level set takes the generic path,
-and a boxdim of 40 draws at m = 2^17 + 1, whose rows span two draw groups)
+a boxdim of 40 draws at m = 2^17 + 1, whose rows span two draw groups,
+and a gen whose points, b, phases and g come from a --config file)
 into a temporary directory, then calls the writers only the library
 reaches (first-hit measures for zero-phase cos and phased cos2, and a
 characteristic-function profile).  Prints one ``sha256 path`` line per
@@ -38,6 +39,7 @@ from wlab import cli, covering, fn_core, occupation
 
 B_SEQ = "1,2.5,6.25,16,40,100,250,625,1600,4000"
 PHASES = "0.1,0.25,0.4,0.7,0.05,0.9"
+CONFIG = "# one gen run's defaults\npoints = 1000\nb = 3\nphases = 0.1,0.25,0.4\ng = cos2\n"
 
 RUNS = [
     ["gen", "--output", "gen.csv"],
@@ -54,6 +56,7 @@ RUNS = [
     ["cover", "--phases", PHASES, "--output", "cover_phases.csv"],
     ["cover", "--b", "2.5", "--phases", PHASES, "--pbm", "--output", "cover_b2.5.csv"],
     ["cover", "--g", "cos2", "--pbm", "--output", "cover_cos2.csv"],
+    ["gen", "--config", "gen.cfg", "--output", "gen_config.csv"],
     ["verify-all", "--profile", "desk", "--report", "verify.json"],
 ]
 
@@ -84,8 +87,10 @@ def main() -> None:
         cwd = os.getcwd()
         os.chdir(out)
         try:
+            Path("gen.cfg").write_text(CONFIG)
             for args in RUNS:
                 run_cli(args)
+            os.remove("gen.cfg")  # an input, not an artifact
             library_writers(out)
         finally:
             os.chdir(cwd)
