@@ -233,6 +233,7 @@ def occ(**p):
     """Occupation density, its L2 norm, and the Parseval cross-check."""
     with _preconditions():
         spec = _spec(**p)
+        occupation.check_decay_target(p["decay_target"])   # before the sampling, not after it
         draw = fn_core.draw_coefficients(spec, p["seed"], max(fn_core.effective_order(spec), 1))
         sample = fn_core.sample_graph(spec, draw, p["samples"])
         dens = occupation.occupation_histogram(sample, p["bins"])

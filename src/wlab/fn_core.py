@@ -380,6 +380,27 @@ def reduced_arguments(spec: FunctionSpec, n: int, xs) -> np.ndarray:
     return t
 
 
+def _two_adic(value) -> int:
+    """v with value = odd * 2^v, for a positive int or dyadic Fraction (negative for B / 2^k)."""
+    num, den = value.as_integer_ratio()
+    return (num & -num).bit_length() - den.bit_length()
+
+
+def _fraction_bits(xs: np.ndarray) -> float:
+    """The most binary fraction digits of any x in xs: 0 for integers and +-0, inf with a nan or inf.
+
+    So b_n x is an integer for every x in xs exactly when 2^fraction_bits divides b_n.
+    """
+    if not np.isfinite(xs).all():
+        return math.inf
+    m, e = np.frexp(xs)
+    m *= 2.0 ** 53
+    mant = m.astype(np.int64).view(np.uint64)   # x = mant 2^(e - 53)
+    del m
+    mant ^= mant - np.uint64(1)                 # trailing zeros + 1 low bits set; all 64 for x = 0
+    return max(0, 54 - int((np.bitwise_count(mant) + e).min()))
+
+
 # ---------------------------------------------------------------------------
 # evaluation and sampling
 # ---------------------------------------------------------------------------
@@ -418,9 +439,12 @@ def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> lis
     2^15 points.  Per block and level, the reduced arguments and g are
     computed once, for every draw whose coefficient is nonzero, and each
     such draw adds values[n] * g into its slice of its row, in order
-    n = 0, 1, ...  So every point of every draw sums the same products in
-    the same order, and each row has the same bits for any thread count,
-    block size and number of draws.
+    n = 0, 1, ...  A level where b_n x is an integer at every x of the block
+    (2^fraction_bits divides b_n, as happens for even b from some n on)
+    is constant there: g at the reduced phase, computed once per call, and
+    each draw adds one product to its slice.  So every point of every draw
+    sums the same products in the same order, and each row has the same
+    bits for any thread count, block size and number of draws.
     """
     if not draws:
         raise ValueError("need at least one draw")
@@ -434,14 +458,28 @@ def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> lis
     rows = [np.zeros(xs.size) for _ in draws]
     levels = [(n, [(row, d.values[n]) for row, d in zip(rows, draws) if d.values[n] != 0.0])
               for n in range(order)]
-    levels = [(n, terms) for n, terms in levels if terms]   # a level no draw adds to is not reduced
+    levels = [(n, _two_adic(spec.freq.value(n)), terms)
+              for n, terms in levels if terms]   # a level no draw adds to is not reduced
+    g_phase = {}
+
+    def constant(n: int) -> float:
+        # g(b_n x + theta_n) where b_n x is an integer: g at the reduced phase
+        if n not in g_phase:
+            g_phase[n] = spec.g.sample(reduced_arguments(spec, n, np.zeros(1)))[0]
+        return g_phase[n]
 
     def run(lo: int, hi: int) -> None:
         tmp = np.empty(min(_BLOCK, hi - lo))
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
             block, prod = xs[start:stop], tmp[:stop - start]
-            for n, terms in levels:
+            bits = _fraction_bits(block)
+            for n, v2, terms in levels:
+                if v2 >= bits:   # b_n x is an integer at every x of the block
+                    s = constant(n)
+                    for row, c in terms:
+                        row[start:stop] += c * s
+                    continue
                 s = spec.g.sample(reduced_arguments(spec, n, block))
                 for row, c in terms:
                     np.multiply(s, c, out=prod)

@@ -140,16 +140,21 @@ _U_START = 64.0   # the adaptive profile's first range, doubled up to _U_CAP
 _U_CAP = 4096.0
 
 
+def check_decay_target(decay_target: float) -> None:
+    """ValueError for a decay target that is nan or not positive: no profile can meet it."""
+    if not decay_target > 0.0:
+        raise ValueError(f"decay target must be positive, got {decay_target}")
+
+
 def adaptive_char_profile(sample: GraphSample, du: float, decay_target: float = 1e-4):
     """Grow the profile in octaves until the last octave's |mu|^2 dips below target.
 
     The range starts at u = 64 and doubles up to 4096.  Returns (profile,
     reached: bool); reached is False when 4096 was hit with the tail still
-    above the target.  A decay target that is nan or not positive can never
-    be met and is a ValueError.
+    above the target.  A target that check_decay_target rejects is a
+    ValueError.
     """
-    if not decay_target > 0.0:
-        raise ValueError(f"decay target must be positive, got {decay_target}")
+    check_decay_target(decay_target)
     n_steps = int(math.ceil(_U_START / du))
     w = np.exp(1j * du * sample.ys)
     z = np.ones_like(w)

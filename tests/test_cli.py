@@ -109,6 +109,19 @@ def test_scan_sizes_it_cannot_use_exit_3(runner, tmp_path, args, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["nan", "0", "-1"])
+def test_occ_checks_decay_target_before_sampling(runner, tmp_path, monkeypatch, target):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("occ sampled f before checking --decay-target")
+
+    monkeypatch.setattr(fn_core, "sample_graph", no_sampling)
+    out = tmp_path / "density.csv"
+    result = runner.invoke(main, ["occ", "--decay-target", target, "--output", str(out)])
+    assert result.exit_code == 3, result.output
+    assert f"error: decay target must be positive, got {float(target)}" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args, named", [
     (["gen", "--a", "1.5"], "must lie in (0, 1), got 1.5"),
     (["boxdim", "--a", "1.5"], "must lie in (0, 1), got 1.5"),

@@ -434,6 +434,127 @@ def test_evaluate_many_temporaries_stay_below_two_outputs():
     assert peak < 2 * xs.nbytes, peak / xs.nbytes
 
 
+def test_evaluate_many_temporaries_stay_below_two_outputs_on_a_dyadic_grid():
+    # x = j / 2^18 and b = 2: levels 18.. are constant on every block and
+    # add one product per point, with no block-sized temporary of their own
+    spec = build_spec(0.8, geometric(2.0))
+    draw = draw_coefficients(spec, 1, 24)
+    xs = np.linspace(0.0, 1.0, (1 << 18) + 1)
+    tracemalloc.start()
+    try:
+        evaluate_many(spec, draw, xs, 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * xs.nbytes, peak / xs.nbytes
+
+
+@given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+@example(xs=[0.0, -0.0, 1.0, -7.0, 2.0 ** 60, 1e308])
+@example(xs=[5e-324, 0.5])
+@example(xs=[-0.375, 3.0 * 2.0 ** -1074, 0.1])
+def test_fraction_bits_match_the_dyadic_denominator(xs):
+    want = max(Fraction(x).denominator.bit_length() - 1 for x in xs)
+    assert fn_core._fraction_bits(np.array(xs)) == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fraction_bits_are_infinite_with_a_non_finite_x(bad):
+    assert fn_core._fraction_bits(np.array([0.5, bad, 2.0])) == math.inf
+
+
+def _constant_blocks_b_seq(length):
+    # integer b_n with ratios alternating 2 and 3: 1, 2, 6, 12, 36, ...
+    seq = [1.0]
+    for n in range(length - 1):
+        seq.append(seq[-1] * (2.0 if n % 2 == 0 else 3.0))
+    return seq
+
+
+_BLOCK_KINDS = ("grid", "philox", "negative", "zeros", "integers", "tiny", "non-finite")
+
+
+def _constant_block(kind, p, rng, size):
+    # one block of x that turns constant at a level set by its kind and p
+    if kind == "grid":
+        return rng.integers(0, 1 << p, size) / 2.0 ** p
+    if kind == "philox":
+        return rng.random(size)
+    if kind == "negative":
+        return -rng.integers(0, 1 << p, size) / 2.0 ** p - rng.integers(0, 5, size)
+    if kind == "zeros":
+        return np.where(rng.random(size) < 0.5, 0.0, -0.0)
+    if kind == "integers":
+        return rng.integers(-1000, 1000, size).astype(np.float64)
+    if kind == "tiny":
+        return rng.random(size) * 2.0 ** -(10 + p)
+    xs = rng.integers(0, 1 << p, size) / 2.0 ** p
+    xs[rng.permutation(size)[:3]] = [np.nan, np.inf, -np.inf]
+    return xs
+
+
+@given(freq=st.sampled_from([geometric(b) for b in (2, 3, 4, 6, 2.5)]
+                            + [explicit(_constant_blocks_b_seq(60), 2.0)]),
+       phases=st.lists(st.sampled_from([0.0, 0.1, 0.375, -5.5, 2.0 ** -70, 0.3 + 2.0 ** -66]),
+                       max_size=5),
+       blocks=st.lists(st.tuples(st.sampled_from(_BLOCK_KINDS), st.integers(0, 60)),
+                       min_size=1, max_size=5),
+       m=st.sampled_from([2, 17, 33, 65, 100, 129]),
+       threads=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_constant_levels_keep_the_bits_of_whole_array_levels(freq, phases, blocks, m, threads,
+                                                              seed):
+    # blocks of 16 points (threads from 8 points each), so each block of xs
+    # turns constant at its own level, or never; evaluate_many and
+    # sample_graphs (three draws on the grid j / (m - 1)) must give the bits
+    # of one reduction per level over the whole array
+    spec = build_spec(0.8, freq, phases=phases)
+    order = fn_core.effective_order(spec, 1e-3)
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate([_constant_block(kind, p, rng, 16) for kind, p in blocks])
+    draws = [draw_coefficients(spec, s, order) for s in (seed, seed + 1, seed + 2)]
+    grid = np.linspace(0.0, 1.0, m)
+    with pytest.MonkeyPatch.context() as patch, worker_threads(threads), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch.setattr(fn_core, "_BLOCK", 16)
+        patch.setattr(fn_core, "_MIN_CHUNK", 8)
+        got = evaluate_many(spec, draws[0], xs, order)
+        samples = list(sample_graphs(spec, draws, m, tol=1e-3))
+    want = oracles.evaluate_levels(spec, draws[0], xs, order)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for draw, s in zip(draws, samples):
+        want = oracles.evaluate_levels(spec, draw, grid, order)
+        assert np.array_equal(s.ys.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("b, per_block", [(2.0, 17), (3.0, 96)])
+def test_constant_levels_skip_the_block_reduction(monkeypatch, b, per_block):
+    # x = j / 2^17: for b = 2 the levels n >= 17 are constant on every block,
+    # for b = 3 no level is, and each block of more than one point is
+    # reduced exactly once per level
+    spec = build_spec(0.8, geometric(b))
+    draw = draw_coefficients(spec, 1, 96)
+    xs = np.linspace(0.0, 1.0, (1 << 17) + 1)
+    sizes = []
+    reduce = fn_core.reduced_arguments
+
+    def counted(spec, n, xs):
+        sizes.append(np.size(xs))
+        return reduce(spec, n, xs)
+
+    monkeypatch.setattr(fn_core, "reduced_arguments", counted)
+    evaluate_many(spec, draw, xs, 96)
+    blocks = xs.size // fn_core._BLOCK   # the last block is x = 1 alone
+    block_calls = sum(size > 1 for size in sizes)
+    if b == 2.0:
+        assert block_calls <= per_block * blocks
+    else:
+        assert block_calls == per_block * blocks
+
+
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),
        order=st.integers(min_value=1, max_value=40),
        x=st.floats(min_value=0.0, max_value=1.0))

@@ -5,7 +5,9 @@ frequency sequence with phases, a phased gen on integer b, a phased cover,
 a phased cover on b = 2.5 with PBMs, whose cell indices do not tile the
 grid, a cos2 cover with PBMs, whose near-level set takes the generic path,
 a boxdim of 40 draws at m = 2^17 + 1, whose rows span two draw groups,
-and a gen whose points, b, phases and g come from a --config file)
+a gen whose points, b, phases and g come from a --config file, and gens
+on the dyadic grid j / 4096 for b = 4 with phases and for b = 6, whose
+levels turn constant once 2^12 divides b_n)
 into a temporary directory, then calls the writers only the library
 reaches (first-hit measures for zero-phase cos and phased cos2, and a
 characteristic-function profile).  Prints one ``sha256 path`` line per
@@ -57,6 +59,8 @@ RUNS = [
     ["cover", "--b", "2.5", "--phases", PHASES, "--pbm", "--output", "cover_b2.5.csv"],
     ["cover", "--g", "cos2", "--pbm", "--output", "cover_cos2.csv"],
     ["gen", "--config", "gen.cfg", "--output", "gen_config.csv"],
+    ["gen", "--b", "4", "--phases", PHASES, "--points", "4097", "--output", "gen_b4.csv"],
+    ["gen", "--b", "6", "--points", "4097", "--output", "gen_b6.csv"],
     ["verify-all", "--profile", "desk", "--report", "verify.json"],
 ]
 
