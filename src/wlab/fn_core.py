@@ -380,12 +380,6 @@ def reduced_arguments(spec: FunctionSpec, n: int, xs) -> np.ndarray:
     return t
 
 
-def _two_adic(value) -> int:
-    """v with value = odd * 2^v, for a positive int or dyadic Fraction (negative for B / 2^k)."""
-    num, den = value.as_integer_ratio()
-    return (num & -num).bit_length() - den.bit_length()
-
-
 def _fraction_bits(xs: np.ndarray) -> float:
     """The most binary fraction digits of any x in xs: 0 for integers and +-0, inf with a nan or inf.
 
@@ -399,6 +393,64 @@ def _fraction_bits(xs: np.ndarray) -> float:
     del m
     mant ^= mant - np.uint64(1)                 # trailing zeros + 1 low bits set; all 64 for x = 0
     return max(0, 54 - int((np.bitwise_count(mant) + e).min()))
+
+
+def _lattice_digits(xs: np.ndarray, bits: int) -> np.ndarray:
+    """x 2^bits mod _BLOCK as int64 for each x of xs, where no x has more than bits fraction digits.
+
+    Exact for every finite x: x 2^bits = d 2^e with d the integer mantissa,
+    and d's low zero bits cover a right shift, so the arithmetic shift of a
+    negative d is exact too; a left shift by log2(_BLOCK) or more leaves 0.
+    """
+    m, e = np.frexp(xs)
+    m *= 2.0 ** 53
+    d = m.astype(np.int64)
+    del m
+    e += bits - 53
+    d >>= np.clip(-e, 0, 63)
+    d &= _BLOCK - 1             # two's complement: the residue of a negative d too
+    d <<= np.clip(e, 0, _BLOCK.bit_length() - 1)
+    d &= _BLOCK - 1
+    return d
+
+
+def _lattice_step(b_ratio: tuple, t_ratio: tuple, bits) -> tuple | None:
+    """(F, T) with (b_n x + theta_n) mod 1 = ((X F + T) mod _BLOCK) / _BLOCK, or None.
+
+    b_n = B / 2^k and theta_n = t / 2^kt are given as (B, k) and (t, kt),
+    and X = x 2^bits mod _BLOCK (see _lattice_digits) for an x with at most
+    bits fraction digits.  The reduced arguments of such x lie on the lattice
+    2^-max(bits - v2(b_n), kt); where that lattice divides 1 / _BLOCK, F and
+    T are integers, and None is returned where it does not.
+    """
+    (b_num, k), (t_num, kt) = b_ratio, t_ratio
+    size = _BLOCK.bit_length() - 1
+    v2 = (b_num & -b_num).bit_length() - 1 - k
+    if bits - v2 > size or kt > size:
+        return None
+    shift = size - bits - k          # F = B 2^shift, an integer since bits - v2 <= size
+    factor = b_num << shift if shift >= 0 else b_num >> -shift
+    return factor & (_BLOCK - 1), (t_num << (size - kt)) & (_BLOCK - 1)
+
+
+@lru_cache(maxsize=None)
+def _g_table(g: BaseFunction, size: int) -> np.ndarray:
+    """g at i / size for i < size: g on every lattice level of _evaluate_rows (256 KiB at 2^15).
+
+    Read-only, since every worker thread of every later call shares it.
+    """
+    table = g.sample(np.arange(size) * (1.0 / size))
+    table.flags.writeable = False
+    return table
+
+
+def _lattice_g(g: BaseFunction, digits: np.ndarray, step: tuple) -> np.ndarray:
+    """g(b_n x + theta_n) on a lattice level: a lookup, with the bits of g at the reduced argument."""
+    factor, offset = step
+    idx = digits * factor
+    idx += offset
+    idx &= _BLOCK - 1
+    return _g_table(g, _BLOCK)[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +488,25 @@ def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> lis
     into one contiguous chunk per worker thread (see worker_threads), with
     fewer threads when a chunk would hold under 2^14 points; a single chunk
     runs on the calling thread.  Each chunk is walked in blocks of at most
-    2^15 points.  Per block and level, the reduced arguments and g are
-    computed once, for every draw whose coefficient is nonzero, and each
-    such draw adds values[n] * g into its slice of its row, in order
-    n = 0, 1, ...  A level where b_n x is an integer at every x of the block
-    (2^fraction_bits divides b_n, as happens for even b from some n on)
-    is constant there: g at the reduced phase, computed once per call, and
-    each draw adds one product to its slice.  So every point of every draw
-    sums the same products in the same order, and each row has the same
-    bits for any thread count, block size and number of draws.
+    2^15 points.  Per block and level, g(b_n x + theta_n) is found once for
+    every draw whose coefficient is nonzero, and each such draw adds
+    values[n] * g into its slice of its row, in order n = 0, 1, ...  With p
+    the block's most binary fraction digits, a level is one of three kinds:
+
+    - constant, where 2^p divides b_n, so b_n x is an integer at every x
+      of the block (as for even b from some n on): g at the reduced phase,
+      computed once per call, and each draw adds one product to its slice;
+    - lattice, where every reduced argument is i / 2^15 for an integer i
+      (max(p - v2(b_n), kt) <= 15 for theta_n = t / 2^kt): i comes from
+      x 2^p mod 2^15, split once per block, and g is looked up in a table
+      of g at i / 2^15, built once per base function;
+    - general: one reduced_arguments call on the block and one g.sample.
+
+    The lookup gives the bits of g.sample(reduced_arguments(...)), since
+    the reduced argument is exactly i / 2^15 and g is elementwise.  So every
+    point of every draw sums the same products in the same order, and each
+    row has the same bits for any thread count, block size and number of
+    draws.  Draws with no nonzero coefficient walk no block.
     """
     if not draws:
         raise ValueError("need at least one draw")
@@ -456,10 +518,17 @@ def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> lis
     if max_order is not None and order > max_order:
         raise ValueError(f"order {order} exceeds the {max_order} explicit frequencies")
     rows = [np.zeros(xs.size) for _ in draws]
-    levels = [(n, [(row, d.values[n]) for row, d in zip(rows, draws) if d.values[n] != 0.0])
-              for n in range(order)]
-    levels = [(n, _two_adic(spec.freq.value(n)), terms)
-              for n, terms in levels if terms]   # a level no draw adds to is not reduced
+    levels = []
+    for n in range(order):
+        terms = [(row, d.values[n]) for row, d in zip(rows, draws) if d.values[n] != 0.0]
+        if terms:   # a level no draw adds to is not reduced
+            b_num, b_den = spec.freq.value(n).as_integer_ratio()
+            t_num, t_den = spec.phase(n).as_integer_ratio()
+            k = b_den.bit_length() - 1
+            v2 = (b_num & -b_num).bit_length() - 1 - k
+            levels.append((n, v2, (b_num, k), (t_num, t_den.bit_length() - 1), terms))
+    if not levels:
+        return rows
     g_phase = {}
 
     def constant(n: int) -> float:
@@ -474,13 +543,21 @@ def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> lis
             stop = min(start + _BLOCK, hi)
             block, prod = xs[start:stop], tmp[:stop - start]
             bits = _fraction_bits(block)
-            for n, v2, terms in levels:
+            digits = None   # x 2^bits mod 2^15, split at the block's first lattice level
+            for n, v2, b_ratio, t_ratio, terms in levels:
                 if v2 >= bits:   # b_n x is an integer at every x of the block
                     s = constant(n)
                     for row, c in terms:
                         row[start:stop] += c * s
                     continue
-                s = spec.g.sample(reduced_arguments(spec, n, block))
+                step = _lattice_step(b_ratio, t_ratio, bits)
+                if step is not None:
+                    if digits is None:
+                        digits = _lattice_digits(block, bits)
+                    s = _lattice_g(spec.g, digits, step)
+                else:
+                    digits = None   # no lattice buffer lives through a general reduction
+                    s = spec.g.sample(reduced_arguments(spec, n, block))
                 for row, c in terms:
                     np.multiply(s, c, out=prod)
                     row[start:stop] += prod

@@ -334,7 +334,9 @@ def char_function_mc(spec: FunctionSpec, x: float, y: float, u: float,
     while done < n_draws:
         k = min(chunk, n_draws - done)
         gen = substream(seed, "char_mc", chunk_idx)
-        signs = 2.0 * gen.random((k, order)) - 1.0
+        signs = gen.random((k, order))
+        signs *= 2.0   # in place: the bits of 2 u - 1 without two more (k, order) arrays
+        signs -= 1.0
         df = signs @ hw
         c = np.cos(u * df)
         cos_sum += float(c.sum())

@@ -227,9 +227,11 @@ def test_truncation_soundness(o1, o2, seed, x):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def test_zero_draw_evaluates_to_zero():
+def test_zero_draw_evaluates_to_zero(monkeypatch):
+    # no level has a nonzero coefficient, so no block is walked
     spec = build_spec(0.8, geometric(2.0))
     xs = np.linspace(0, 1, 17)
+    monkeypatch.setattr(fn_core, "_fraction_bits", None)
     assert np.all(evaluate_many(spec, zero_draw(5), xs, 5) == 0.0)
 
 
@@ -530,11 +532,12 @@ def test_constant_levels_keep_the_bits_of_whole_array_levels(freq, phases, block
         assert np.array_equal(s.ys.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("b, per_block", [(2.0, 17), (3.0, 96)])
+@pytest.mark.parametrize("b, per_block", [(2.0, 2), (3.0, 96)])
 def test_constant_levels_skip_the_block_reduction(monkeypatch, b, per_block):
-    # x = j / 2^17: for b = 2 the levels n >= 17 are constant on every block,
-    # for b = 3 no level is, and each block of more than one point is
-    # reduced exactly once per level
+    # x = j / 2^17: for b = 2 the levels n >= 17 are constant on every block
+    # and levels 2..16 look g up on the 2^-15 lattice, so only levels 0 and
+    # 1 are reduced; for b = 3 no level is constant or on the lattice, and
+    # each block of more than one point is reduced exactly once per level
     spec = build_spec(0.8, geometric(b))
     draw = draw_coefficients(spec, 1, 96)
     xs = np.linspace(0.0, 1.0, (1 << 17) + 1)
@@ -549,10 +552,90 @@ def test_constant_levels_skip_the_block_reduction(monkeypatch, b, per_block):
     evaluate_many(spec, draw, xs, 96)
     blocks = xs.size // fn_core._BLOCK   # the last block is x = 1 alone
     block_calls = sum(size > 1 for size in sizes)
-    if b == 2.0:
-        assert block_calls <= per_block * blocks
-    else:
-        assert block_calls == per_block * blocks
+    assert block_calls == per_block * blocks
+
+
+def test_a_block_holding_a_fine_x_is_reduced_once_per_level(monkeypatch):
+    # x = 1e-5 has 69 binary fraction digits, so on b = 3 no level of its
+    # block is constant or on the 2^-15 lattice: each of the 5 levels reduces
+    # the whole block once.  Without it the block has 2 fraction digits and
+    # every level looks g up in the table instead.
+    spec = build_spec(0.5, geometric(3.0))
+    draw = draw_coefficients(spec, 1, 5)
+    calls = []
+    reduce = fn_core.reduced_arguments
+
+    def counted(spec, n, xs):
+        calls.append((n, np.size(xs)))
+        return reduce(spec, n, xs)
+
+    monkeypatch.setattr(fn_core, "reduced_arguments", counted)
+    evaluate_many(spec, draw, np.array([0.0, 1e-5, 0.25, 0.5]), 5)
+    assert calls == [(n, 4) for n in range(5)]
+    calls.clear()
+    evaluate_many(spec, draw, np.array([0.0, 0.25, 0.5]), 5)
+    assert calls == []
+
+
+def _lattice_xs(kind, p, rng):
+    # 16 x with (up to rounding to subnormals) at most p binary fraction digits
+    j = rng.integers(-(1 << 20), 1 << 20, 16)
+    if kind == "grid":
+        j = np.abs(j) % (1 << min(p, 20))
+    xs = j * 2.0 ** -p
+    if kind == "negative":   # x 2^p = -1 and -3: an arithmetic shift by 52 and 51 bits
+        xs[:2] = [-(2.0 ** -p), -3.0 * 2.0 ** -p]
+    if kind == "huge":       # x 2^p with 13 to 15 low zero bits, or far more
+        xs[:6] = [1e308, -1e308, -0.0, (2 ** 53 - 1) * 2.0 ** (13 - p),
+                  -(2 ** 52 + 1) * 2.0 ** (14 - p), 3.0 * 2.0 ** (15 - p)]
+    return xs
+
+
+@given(freq=st.sampled_from([geometric(b) for b in (2, 3, 4, 6, 2.5)]
+                            + [explicit(_constant_blocks_b_seq(60), 2.0)]),
+       phases=st.lists(st.sampled_from([0.0, 0.375, -5.5, 0.1, 2.0 ** -70]), max_size=5),
+       g=st.sampled_from([COS, COS_PLUS_HALF]),
+       kind=st.sampled_from(["grid", "negative", "huge"]),
+       p=st.one_of(st.integers(0, 24), st.integers(1040, 1074)),
+       threads=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+@example(freq=geometric(2.0), phases=[0.375], g=COS, kind="negative", p=1074, threads=1, seed=1)
+@example(freq=geometric(2.0), phases=[], g=COS, kind="huge", p=20, threads=2, seed=1)
+@example(freq=geometric(2.5), phases=[0.375, -5.5], g=COS_PLUS_HALF, kind="huge", p=3,
+         threads=3, seed=2)
+def test_lattice_lookup_keeps_the_bits_of_the_reduction(freq, phases, g, kind, p, threads, seed):
+    # on every level whose reduced arguments lie on the 2^-15 lattice (a
+    # Fraction check), the table lookup must give the bits of g at the
+    # reduced arguments; negative, subnormal and +-1e308 x included
+    spec = build_spec(0.8, freq, phases=phases, g=g)
+    xs = _lattice_xs(kind, p, np.random.default_rng(seed))
+    bits = fn_core._fraction_bits(xs)
+    digits = fn_core._lattice_digits(xs, bits)
+    max_order = freq.max_order or bits + 3
+    for n in sorted(set(range(24)) | set(range(max(0, bits - 20), bits + 3))):
+        if n >= max_order:
+            continue
+        b_n, theta_n = Fraction(freq.value(n)), Fraction(spec.phase(n))
+        on = ((b_n * Fraction(2) ** (15 - bits)).denominator == 1
+              and (theta_n * 2 ** 15).denominator == 1)
+        b_num, b_den = b_n.as_integer_ratio()
+        t_num, t_den = theta_n.as_integer_ratio()
+        step = fn_core._lattice_step((b_num, b_den.bit_length() - 1),
+                                     (t_num, t_den.bit_length() - 1), bits)
+        assert (step is not None) == on, n
+        if on:
+            got = fn_core._lattice_g(g, digits, step)
+            want = g.sample(fn_core.reduced_arguments(spec, n, xs))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+    # and through the kernel, on up to three threads of at least 4 points
+    order = min(max_order, 40)
+    draw = draw_coefficients(spec, seed, order)
+    with pytest.MonkeyPatch.context() as patch, worker_threads(threads):
+        patch.setattr(fn_core, "_MIN_CHUNK", 4)
+        got = evaluate_many(spec, draw, xs, order)
+    want = oracles.evaluate_levels(spec, draw, xs, order)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),

@@ -7,7 +7,9 @@ grid, a cos2 cover with PBMs, whose near-level set takes the generic path,
 a boxdim of 40 draws at m = 2^17 + 1, whose rows span two draw groups,
 a gen whose points, b, phases and g come from a --config file, and gens
 on the dyadic grid j / 4096 for b = 4 with phases and for b = 6, whose
-levels turn constant once 2^12 divides b_n)
+levels turn constant once 2^12 divides b_n, and a gen on j / 256 for
+b = 2.5 with phases on the 2^-15 lattice, whose levels 0-7 look g up in
+its table)
 into a temporary directory, then calls the writers only the library
 reaches (first-hit measures for zero-phase cos and phased cos2, and a
 characteristic-function profile).  Prints one ``sha256 path`` line per
@@ -61,6 +63,8 @@ RUNS = [
     ["gen", "--config", "gen.cfg", "--output", "gen_config.csv"],
     ["gen", "--b", "4", "--phases", PHASES, "--points", "4097", "--output", "gen_b4.csv"],
     ["gen", "--b", "6", "--points", "4097", "--output", "gen_b6.csv"],
+    ["gen", "--b", "2.5", "--phases", "0.25,0.5,0.125", "--points", "257",
+     "--output", "gen_b2.5_lattice.csv"],
     ["verify-all", "--profile", "desk", "--report", "verify.json"],
 ]
 
