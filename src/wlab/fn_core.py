@@ -50,13 +50,23 @@ class BaseFunction:
     sup_abs: float
 
     def sample(self, t):
-        """Evaluate g at reduced arguments t in [0, 1]."""
+        """Evaluate g at reduced arguments t in [0, 1], leaving t as it is.
+
+        g is computed in place on one product array (scalar out for a 0-d
+        t), with the bits of np.cos(TWO_PI * t) for cos and of
+        np.cos(TWO_PI * t) + 0.5 * np.cos(2.0 * TWO_PI * t) for cos2.
+        """
         t = np.asarray(t, dtype=np.float64)
-        if self.kind == "cos":
-            return np.cos(TWO_PI * t)
+        if self.kind not in ("cos", "cos2"):
+            raise ValueError(f"unknown base function kind {self.kind!r}")
+        out = np.multiply(TWO_PI, t, out=np.empty_like(t))
+        np.cos(out, out=out)
         if self.kind == "cos2":
-            return np.cos(TWO_PI * t) + 0.5 * np.cos(2.0 * TWO_PI * t)
-        raise ValueError(f"unknown base function kind {self.kind!r}")
+            c2 = np.multiply(2.0 * TWO_PI, t, out=np.empty_like(t))
+            np.cos(c2, out=c2)
+            c2 *= 0.5
+            out += c2
+        return out if out.ndim else out[()]
 
 
 def _certified_sup(values: np.ndarray) -> float:
@@ -343,6 +353,18 @@ def _wide_lane(m, e, b_num: int, k: int, t_num: int, kt: int) -> np.ndarray:
     return ((num % den) / den).astype(np.float64)  # int / int rounds once
 
 
+def _ratios(spec: FunctionSpec, n: int) -> tuple:
+    """b_n = B / 2^k and theta_n = t / 2^kt as ((B, k), (t, kt))."""
+    b_num, b_den = spec.freq.value(n).as_integer_ratio()
+    t_num, t_den = spec.phase(n).as_integer_ratio()
+    return (b_num, b_den.bit_length() - 1), (t_num, t_den.bit_length() - 1)
+
+
+def _clamp(v: np.ndarray, hi: int) -> np.ndarray:
+    # np.clip's Python wrapper costs microseconds a call, on 2-point arrays too
+    return np.minimum(np.maximum(v, 0), hi)
+
+
 def reduced_arguments(spec: FunctionSpec, n: int, xs) -> np.ndarray:
     """((b_n x + theta_n) mod 1) for an array of x, exact for every finite x, rounded once.
 
@@ -358,16 +380,14 @@ def reduced_arguments(spec: FunctionSpec, n: int, xs) -> np.ndarray:
     bad = ~np.isfinite(xs)
     if bad.any():  # their mantissas have no int64 cast: reduce 0 there, then give nan
         xs = np.where(bad, 0.0, xs)
-    b_num, b_den = spec.freq.value(n).as_integer_ratio()
-    t_num, t_den = spec.phase(n).as_integer_ratio()
-    k, kt = b_den.bit_length() - 1, t_den.bit_length() - 1
+    (b_num, k), (t_num, kt) = _ratios(spec, n)
     m, e = np.frexp(xs)
     m = (m * 2.0 ** 53).astype(np.int64)  # x = m 2^e exactly, |m| < 2^53
     e -= 53
     if kt > _BITS:
         t = _wide_lane(m, e, b_num, k, t_num, kt)
     else:  # X = m 2^(e + 63 - k) mod 2^63, in place
-        u = m.view(np.uint64) << np.clip(e + (_BITS - k), 0, _BITS).astype(np.uint64)
+        u = m.view(np.uint64) << _clamp(e + (_BITS - k), _BITS).astype(np.uint64)
         u *= np.uint64(b_num & _MASK)
         u += np.uint64((t_num << (_BITS - kt)) & _MASK)
         u &= np.uint64(_MASK)
@@ -381,12 +401,14 @@ def reduced_arguments(spec: FunctionSpec, n: int, xs) -> np.ndarray:
 
 
 def _fraction_bits(xs: np.ndarray) -> float:
-    """The most binary fraction digits of any x in xs: 0 for integers and +-0, inf with a nan or inf.
+    """The most binary fraction digits of any x in xs: 0 for integers, +-0 and no x, inf with a nan or inf.
 
     So b_n x is an integer for every x in xs exactly when 2^fraction_bits divides b_n.
     """
     if not np.isfinite(xs).all():
         return math.inf
+    if not xs.size:
+        return 0
     m, e = np.frexp(xs)
     m *= 2.0 ** 53
     mant = m.astype(np.int64).view(np.uint64)   # x = mant 2^(e - 53)
@@ -395,42 +417,48 @@ def _fraction_bits(xs: np.ndarray) -> float:
     return max(0, 54 - int((np.bitwise_count(mant) + e).min()))
 
 
-def _lattice_digits(xs: np.ndarray, bits: int) -> np.ndarray:
-    """x 2^bits mod _BLOCK as int64 for each x of xs, where no x has more than bits fraction digits.
+def _lattice_digits(xs: np.ndarray, bits: int, width: int) -> np.ndarray:
+    """X = x 2^bits mod 2^width as int64 for each x of xs, where no x has more than bits fraction digits.
 
-    Exact for every finite x: x 2^bits = d 2^e with d the integer mantissa,
-    and d's low zero bits cover a right shift, so the arithmetic shift of a
-    negative d is exact too; a left shift by log2(_BLOCK) or more leaves 0.
+    width is at most 63.  Exact for every finite x: x 2^bits = d 2^e with d
+    the integer mantissa, and d's low zero bits cover a right shift, so the
+    arithmetic shift of a negative d is exact too; a left shift by width or
+    more leaves 0.
     """
     m, e = np.frexp(xs)
     m *= 2.0 ** 53
     d = m.astype(np.int64)
     del m
     e += bits - 53
-    d >>= np.clip(-e, 0, 63)
-    d &= _BLOCK - 1             # two's complement: the residue of a negative d too
-    d <<= np.clip(e, 0, _BLOCK.bit_length() - 1)
-    d &= _BLOCK - 1
+    d >>= _clamp(-e, 63)
+    mask = np.uint64((1 << width) - 1)
+    u = d.view(np.uint64)       # two's complement: the residue of a negative d too
+    u &= mask
+    u <<= _clamp(e, width).view(np.uintc)   # frexp's exponents are C ints
+    u &= mask
     return d
 
 
-def _lattice_step(b_ratio: tuple, t_ratio: tuple, bits) -> tuple | None:
-    """(F, T) with (b_n x + theta_n) mod 1 = ((X F + T) mod _BLOCK) / _BLOCK, or None.
+def _lattice_step(b_ratio: tuple, t_ratio: tuple, bits, width: int) -> tuple | None:
+    """(F, T) with (b_n x + theta_n) mod 1 = ((X F + T) mod 2^width) / 2^width, or None.
 
     b_n = B / 2^k and theta_n = t / 2^kt are given as (B, k) and (t, kt),
-    and X = x 2^bits mod _BLOCK (see _lattice_digits) for an x with at most
-    bits fraction digits.  The reduced arguments of such x lie on the lattice
-    2^-max(bits - v2(b_n), kt); where that lattice divides 1 / _BLOCK, F and
-    T are integers, and None is returned where it does not.
+    and X = x 2^bits mod 2^width (see _lattice_digits) for an x with at
+    most bits fraction digits.  The reduced arguments of such x lie on the
+    lattice 2^-max(bits - v2(b_n), kt); where that lattice divides
+    2^-width, F and T are integers, and None is returned where it does not.
+    At bits = width = 63 that is every integer b_n with kt <= 63, and
+    (F, T) = (B, t 2^(63 - kt)) mod 2^63 are the factor and offset of the
+    uint64 lane of reduced_arguments.
     """
     (b_num, k), (t_num, kt) = b_ratio, t_ratio
-    size = _BLOCK.bit_length() - 1
     v2 = (b_num & -b_num).bit_length() - 1 - k
-    if bits - v2 > size or kt > size:
+    if bits - v2 > width or kt > width:
         return None
-    shift = size - bits - k          # F = B 2^shift, an integer since bits - v2 <= size
+    shift = width - bits - k         # F = B 2^shift, an integer since bits - v2 <= width
     factor = b_num << shift if shift >= 0 else b_num >> -shift
-    return factor & (_BLOCK - 1), (t_num << (size - kt)) & (_BLOCK - 1)
+    mask = (1 << width) - 1
+    return factor & mask, (t_num << (width - kt)) & mask
 
 
 @lru_cache(maxsize=None)
@@ -451,6 +479,35 @@ def _lattice_g(g: BaseFunction, digits: np.ndarray, step: tuple) -> np.ndarray:
     idx += offset
     idx &= _BLOCK - 1
     return _g_table(g, _BLOCK)[idx]
+
+
+def _lane_arguments(digits: np.ndarray, step: tuple) -> np.ndarray:
+    """reduced_arguments on a lane level, from X = x 2^63 mod 2^63 and step = (B, T).
+
+    The uint64 lane rule itself: ((X B + T) mod 2^63) 2^-63, rounded once,
+    with a result of 1.0 set to 0.0, so the bits are those of the reduction.
+    """
+    factor, offset = step
+    u = digits.view(np.uint64) * np.uint64(factor)
+    u += np.uint64(offset)
+    u &= np.uint64(_MASK)
+    t = u * 2.0 ** -_BITS
+    t[t == 1.0] = 0.0
+    return t
+
+
+def reduced_levels(spec: FunctionSpec, xs: np.ndarray, order: int) -> Iterator[np.ndarray]:
+    """reduced_arguments(spec, n, xs) for n = 0, 1, ..., order - 1, with the same bits.
+
+    Where no x of the flat array xs has over 63 fraction digits, x is split
+    once, and each level with an integer b_n and theta_n = t / 2^kt,
+    kt <= 63, takes the lane rule (_lane_arguments); every other level is
+    one reduced_arguments call.
+    """
+    digits = _lattice_digits(xs, _BITS, _BITS) if _fraction_bits(xs) <= _BITS else None
+    for n in range(order):
+        step = None if digits is None else _lattice_step(*_ratios(spec, n), _BITS, _BITS)
+        yield reduced_arguments(spec, n, xs) if step is None else _lane_arguments(digits, step)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +548,8 @@ def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> lis
     2^15 points.  Per block and level, g(b_n x + theta_n) is found once for
     every draw whose coefficient is nonzero, and each such draw adds
     values[n] * g into its slice of its row, in order n = 0, 1, ...  With p
-    the block's most binary fraction digits, a level is one of three kinds:
+    the block's most binary fraction digits, a level is the first of four
+    kinds that applies:
 
     - constant, where 2^p divides b_n, so b_n x is an integer at every x
       of the block (as for even b from some n on): g at the reduced phase,
@@ -500,13 +558,18 @@ def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> lis
       (max(p - v2(b_n), kt) <= 15 for theta_n = t / 2^kt): i comes from
       x 2^p mod 2^15, split once per block, and g is looked up in a table
       of g at i / 2^15, built once per base function;
+    - lane, where p <= 63, b_n is an integer and kt <= 63: the reduced
+      argument is the uint64 lane rule of reduced_arguments on
+      x 2^63 mod 2^63, split once per block, and g is one g.sample;
     - general: one reduced_arguments call on the block and one g.sample.
 
     The lookup gives the bits of g.sample(reduced_arguments(...)), since
-    the reduced argument is exactly i / 2^15 and g is elementwise.  So every
-    point of every draw sums the same products in the same order, and each
-    row has the same bits for any thread count, block size and number of
-    draws.  Draws with no nonzero coefficient walk no block.
+    the reduced argument is exactly i / 2^15 and g is elementwise, and the
+    lane computes the reduction's own integers.  So every point of every
+    draw sums the same products in the same order, and each row has the
+    same bits for any thread count, block size and number of draws.  At
+    most one block of split digits is alive at a time.  Draws with no
+    nonzero coefficient walk no block.
     """
     if not draws:
         raise ValueError("need at least one draw")
@@ -522,11 +585,11 @@ def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> lis
     for n in range(order):
         terms = [(row, d.values[n]) for row, d in zip(rows, draws) if d.values[n] != 0.0]
         if terms:   # a level no draw adds to is not reduced
-            b_num, b_den = spec.freq.value(n).as_integer_ratio()
-            t_num, t_den = spec.phase(n).as_integer_ratio()
-            k = b_den.bit_length() - 1
+            b_ratio, t_ratio = _ratios(spec, n)
+            b_num, k = b_ratio
             v2 = (b_num & -b_num).bit_length() - 1 - k
-            levels.append((n, v2, (b_num, k), (t_num, t_den.bit_length() - 1), terms))
+            lane = _lattice_step(b_ratio, t_ratio, _BITS, _BITS)
+            levels.append((n, v2, b_ratio, t_ratio, lane, terms))
     if not levels:
         return rows
     g_phase = {}
@@ -539,24 +602,31 @@ def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> lis
 
     def run(lo: int, hi: int) -> None:
         tmp = np.empty(min(_BLOCK, hi - lo))
+        size = _BLOCK.bit_length() - 1
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
             block, prod = xs[start:stop], tmp[:stop - start]
             bits = _fraction_bits(block)
-            digits = None   # x 2^bits mod 2^15, split at the block's first lattice level
-            for n, v2, b_ratio, t_ratio, terms in levels:
+            width, digits = None, None   # x 2^bits mod 2^width, split at need
+            for n, v2, b_ratio, t_ratio, lane, terms in levels:
                 if v2 >= bits:   # b_n x is an integer at every x of the block
                     s = constant(n)
                     for row, c in terms:
                         row[start:stop] += c * s
                     continue
-                step = _lattice_step(b_ratio, t_ratio, bits)
+                step = _lattice_step(b_ratio, t_ratio, bits, size)
                 if step is not None:
-                    if digits is None:
-                        digits = _lattice_digits(block, bits)
+                    if width != size:
+                        digits = None   # drop a lane split before this one is made
+                        width, digits = size, _lattice_digits(block, bits, size)
                     s = _lattice_g(spec.g, digits, step)
+                elif lane is not None and bits <= _BITS:
+                    if width != _BITS:
+                        digits = None
+                        width, digits = _BITS, _lattice_digits(block, _BITS, _BITS)
+                    s = spec.g.sample(_lane_arguments(digits, lane))
                 else:
-                    digits = None   # no lattice buffer lives through a general reduction
+                    width, digits = None, None   # no split lives through a general reduction
                     s = spec.g.sample(reduced_arguments(spec, n, block))
                 for row, c in terms:
                     np.multiply(s, c, out=prod)

@@ -19,7 +19,7 @@ from .fn_core import (
     FunctionSpec,
     GraphSample,
     fit_line,
-    reduced_arguments,
+    reduced_levels,
     write_rows,
 )
 from .rng import substream
@@ -270,7 +270,8 @@ class SincFactors:
 def increment_half_widths(spec: FunctionSpec, x, y, order: int) -> np.ndarray:
     """a^n (g(b_n x + th_n) - g(b_n y + th_n)) for n < order, shape x.shape + (order,).
 
-    x and y are scalars or arrays of one shape, reduced in one call per level.
+    x and y are scalars or arrays of one shape, reduced together level by
+    level (fn_core.reduced_levels).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -279,8 +280,8 @@ def increment_half_widths(spec: FunctionSpec, x, y, order: int) -> np.ndarray:
     k = x.size
     xy = np.concatenate([x.ravel(), y.ravel()])
     out = np.empty((k, order), dtype=np.float64)
-    for n in range(order):
-        g = spec.g.sample(reduced_arguments(spec, n, xy))
+    for n, t in enumerate(reduced_levels(spec, xy, order)):
+        g = spec.g.sample(t)
         out[:, n] = spec.a ** n * (g[:k] - g[k:])
     return out.reshape(x.shape + (order,))
 

@@ -39,6 +39,16 @@ def mp_eval_series(spec, values, x, order, dps=None):
         return float(total)
 
 
+def g_reference(g, t):
+    """g at t by the base function's formula, each product and cos a fresh array."""
+    t = np.asarray(t, dtype=np.float64)
+    if g.kind == "cos":
+        return np.cos(fn_core.TWO_PI * t)
+    if g.kind == "cos2":
+        return np.cos(fn_core.TWO_PI * t) + 0.5 * np.cos(2.0 * fn_core.TWO_PI * t)
+    raise ValueError(g.kind)
+
+
 def evaluate_levels(spec, draw, xs, order):
     """The series sum over the whole array at once, one reduction call per level.
 

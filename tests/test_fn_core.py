@@ -52,6 +52,22 @@ class TestBaseFunction:
         xs = np.linspace(0.0, 1.0, 10_000)
         assert np.all(np.abs(g.sample(xs)) <= g.sup_abs + 1e-12)
 
+    def test_sample_keeps_the_bits_of_the_formula(self, g):
+        # g is computed in place on its own product array: the bits of the
+        # formula, for 1-d, 2-d and 0-d t, and t itself is left as it was
+        t = np.concatenate([np.random.default_rng(7).random(1000),
+                            [0.0, 0.25, 0.5, 1.0 - 2.0 ** -53, 2.0 ** -63, 5e-324]])
+        before = t.copy()
+        for arg in (t, t[:1000].reshape(10, 100)):
+            got, want = g.sample(arg), oracles.g_reference(g, arg)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(t.view(np.uint64), before.view(np.uint64))
+        for t0 in (0.25, 0.1, np.float64(0.375), np.array(2.0 ** -63)):
+            got, want = g.sample(t0), oracles.g_reference(g, t0)
+            assert np.ndim(got) == 0
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
 
 def test_cos2_lipschitz_is_the_true_supremum():
     # sup|g'| for cos(2 pi x) + 0.5 cos(4 pi x) is ~11.09, well above 2 pi
@@ -466,6 +482,10 @@ def test_fraction_bits_are_infinite_with_a_non_finite_x(bad):
     assert fn_core._fraction_bits(np.array([0.5, bad, 2.0])) == math.inf
 
 
+def test_fraction_bits_of_no_x_are_zero():
+    assert fn_core._fraction_bits(np.array([])) == 0
+
+
 def _constant_blocks_b_seq(length):
     # integer b_n with ratios alternating 2 and 3: 1, 2, 6, 12, 36, ...
     seq = [1.0]
@@ -532,14 +552,16 @@ def test_constant_levels_keep_the_bits_of_whole_array_levels(freq, phases, block
         assert np.array_equal(s.ys.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("b, per_block", [(2.0, 2), (3.0, 96)])
-def test_constant_levels_skip_the_block_reduction(monkeypatch, b, per_block):
-    # x = j / 2^17: for b = 2 the levels n >= 17 are constant on every block
-    # and levels 2..16 look g up on the 2^-15 lattice, so only levels 0 and
-    # 1 are reduced; for b = 3 no level is constant or on the lattice, and
-    # each block of more than one point is reduced exactly once per level
+@pytest.mark.parametrize("b, order, per_block", [(2.0, 96, 0), (3.0, 96, 0), (2.5, 24, 23)])
+def test_constant_levels_skip_the_block_reduction(monkeypatch, b, order, per_block):
+    # x = j / 2^17: for b = 2 the levels n >= 17 are constant on every block,
+    # levels 2..16 look g up on the 2^-15 lattice and levels 0 and 1 take
+    # the lane, so no level reduces a block; for b = 3 every level takes the
+    # lane; for b = 2.5 only level 0 (b_0 = 1) does, and each block of more
+    # than one point is reduced exactly once at every other level (order
+    # 24 keeps the case quick)
     spec = build_spec(0.8, geometric(b))
-    draw = draw_coefficients(spec, 1, 96)
+    draw = draw_coefficients(spec, 1, order)
     xs = np.linspace(0.0, 1.0, (1 << 17) + 1)
     sizes = []
     reduce = fn_core.reduced_arguments
@@ -549,7 +571,7 @@ def test_constant_levels_skip_the_block_reduction(monkeypatch, b, per_block):
         return reduce(spec, n, xs)
 
     monkeypatch.setattr(fn_core, "reduced_arguments", counted)
-    evaluate_many(spec, draw, xs, 96)
+    evaluate_many(spec, draw, xs, order)
     blocks = xs.size // fn_core._BLOCK   # the last block is x = 1 alone
     block_calls = sum(size > 1 for size in sizes)
     assert block_calls == per_block * blocks
@@ -611,7 +633,7 @@ def test_lattice_lookup_keeps_the_bits_of_the_reduction(freq, phases, g, kind, p
     spec = build_spec(0.8, freq, phases=phases, g=g)
     xs = _lattice_xs(kind, p, np.random.default_rng(seed))
     bits = fn_core._fraction_bits(xs)
-    digits = fn_core._lattice_digits(xs, bits)
+    digits = fn_core._lattice_digits(xs, bits, 15)
     max_order = freq.max_order or bits + 3
     for n in sorted(set(range(24)) | set(range(max(0, bits - 20), bits + 3))):
         if n >= max_order:
@@ -622,7 +644,7 @@ def test_lattice_lookup_keeps_the_bits_of_the_reduction(freq, phases, g, kind, p
         b_num, b_den = b_n.as_integer_ratio()
         t_num, t_den = theta_n.as_integer_ratio()
         step = fn_core._lattice_step((b_num, b_den.bit_length() - 1),
-                                     (t_num, t_den.bit_length() - 1), bits)
+                                     (t_num, t_den.bit_length() - 1), bits, 15)
         assert (step is not None) == on, n
         if on:
             got = fn_core._lattice_g(g, digits, step)
@@ -815,3 +837,71 @@ def test_effective_order_caps_at_explicit_frequencies():
     geo = build_spec(0.8, geometric(2.0))
     assert fn_core.effective_order(geo) == truncation_order(geo, default_tolerance(geo))
     assert fn_core.effective_order(geo, 1e-3) == truncation_order(geo, 1e-3)
+
+
+def _lane_xs(kind, p, seed):
+    # 16 x with at most p <= 63 binary fraction digits, but for one x of a "fine" block
+    rng = np.random.default_rng(seed)
+    if kind == "philox":
+        return np.random.Generator(np.random.Philox(seed)).random(16)
+    xs = rng.integers(0, 1 << min(p, 53), 16) * 2.0 ** -p
+    if kind == "negative":
+        xs = -xs - rng.integers(0, 5, 16)
+    if kind == "huge":
+        xs[:4] = [1e308, -1e308, -0.0, -(2.0 ** -p)]
+    if kind == "fine":
+        xs[rng.integers(16)] = rng.choice([1e-5, 0.1 * 2.0 ** -20, 2.0 ** -64, 3.0 * 2.0 ** -1074])
+    return xs
+
+
+@given(freq=st.sampled_from([geometric(b) for b in (2, 3, 4, 6, 2.5)]
+                            + [explicit(_constant_blocks_b_seq(60), 2.0)]),
+       phases=st.lists(st.sampled_from([0.0, 0.375, -5.5, 0.1, 2.0 ** -63, 2.0 ** -70]),
+                       max_size=5),
+       g=st.sampled_from([COS, COS_PLUS_HALF]),
+       kind=st.sampled_from(["philox", "grid", "negative", "huge", "fine"]),
+       p=st.integers(0, 63),
+       threads=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+@example(freq=geometric(3.0), phases=[2.0 ** -70, 0.1, -5.5], g=COS, kind="huge", p=63,
+         threads=2, seed=1)
+@example(freq=geometric(2.0), phases=[0.375], g=COS_PLUS_HALF, kind="fine", p=53, threads=3,
+         seed=2)
+@example(freq=geometric(2.5), phases=[2.0 ** -63], g=COS, kind="philox", p=0, threads=1, seed=3)
+def test_lane_levels_keep_the_bits_of_the_reduction(freq, phases, g, kind, p, threads, seed):
+    # a level takes the lane exactly where b_n is an integer, theta_n has at
+    # most 63 fraction digits and so has every x, and there it must give the
+    # bits of reduced_arguments; every other level is one reduced_arguments
+    # call (a Fraction check of which is which)
+    spec = build_spec(0.8, freq, phases=phases, g=g)
+    xs = _lane_xs(kind, p, seed)
+    split = fn_core._fraction_bits(xs) <= 63
+    assert split == (kind != "fine")
+    order = freq.max_order or 96
+    reduce, general = fn_core.reduced_arguments, []
+
+    def counted(spec, n, xs):
+        general.append(n)
+        return reduce(spec, n, xs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fn_core, "reduced_arguments", counted)
+        levels = list(fn_core.reduced_levels(spec, xs, order))
+    lanes = []
+    for n in range(order):
+        b_n, theta_n = Fraction(freq.value(n)), Fraction(spec.phase(n))
+        lane = b_n.denominator == 1 and (theta_n * 2 ** 63).denominator == 1
+        assert (fn_core._lattice_step(*fn_core._ratios(spec, n), 63, 63) is not None) == lane, n
+        if lane and split:
+            lanes.append(n)
+        want = reduce(spec, n, xs)
+        assert np.array_equal(levels[n].view(np.uint64), want.view(np.uint64)), n
+    assert general == [n for n in range(order) if n not in lanes]
+    # and through the kernel, on up to three threads of at least 4 points
+    draw = draw_coefficients(spec, seed, order)
+    with pytest.MonkeyPatch.context() as patch, worker_threads(threads):
+        patch.setattr(fn_core, "_MIN_CHUNK", 4)
+        got = evaluate_many(spec, draw, xs, order)
+    want = oracles.evaluate_levels(spec, draw, xs, order)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

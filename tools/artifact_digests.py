@@ -9,7 +9,9 @@ a gen whose points, b, phases and g come from a --config file, and gens
 on the dyadic grid j / 4096 for b = 4 with phases and for b = 6, whose
 levels turn constant once 2^12 divides b_n, and a gen on j / 256 for
 b = 2.5 with phases on the 2^-15 lattice, whose levels 0-7 look g up in
-its table)
+its table, and a gen on the integer --b-seq 1,3,10,...,1000 with phases,
+whose levels 1-6 reduce on the uint64 lane split once per block, while
+level 0, whose phase 1e-30 has over 63 fraction digits, reduces in full)
 into a temporary directory, then calls the writers only the library
 reaches (first-hit measures for zero-phase cos and phased cos2, and a
 characteristic-function profile).  Prints one ``sha256 path`` line per
@@ -65,6 +67,8 @@ RUNS = [
     ["gen", "--b", "6", "--points", "4097", "--output", "gen_b6.csv"],
     ["gen", "--b", "2.5", "--phases", "0.25,0.5,0.125", "--points", "257",
      "--output", "gen_b2.5_lattice.csv"],
+    ["gen", "--b", "3", "--b-seq", "1,3,10,31,100,310,1000", "--phases", "1e-30,0.1,0.375",
+     "--points", "1001", "--output", "gen_bseq_lane.csv"],
     ["verify-all", "--profile", "desk", "--report", "verify.json"],
 ]
 
