@@ -110,19 +110,33 @@ def cell_centers(resolution: int) -> np.ndarray:
     return (np.arange(resolution, dtype=np.float64) + 0.5) / float(resolution)
 
 
-def _far_mask(v: np.ndarray, epsilon: float) -> np.ndarray:
-    """Bool mask |v_i - v_j| >= epsilon, built a block of rows at a time."""
+def _far_mask(v: np.ndarray, epsilon: float, n_rows: int | None = None) -> np.ndarray:
+    """Bool mask |v_i - v_j| >= epsilon, rows i < n_rows (default all), built a block of rows at a time."""
     m = v.size
+    n_rows = m if n_rows is None else n_rows
     rows = max(1, _MASK_BLOCK // m)
-    buf = np.empty((min(rows, m), m), dtype=np.float64)
-    out = np.empty((m, m), dtype=bool)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
+    buf = np.empty((min(rows, n_rows), m), dtype=np.float64)
+    out = np.empty((n_rows, m), dtype=bool)
+    for lo in range(0, n_rows, rows):
+        hi = min(lo + rows, n_rows)
         blk = buf[:hi - lo]
         np.subtract(v[lo:hi, None], v[None, :], out=blk)
         np.abs(blk, out=blk)
         np.greater_equal(blk, epsilon, out=out[lo:hi])
     return out
+
+
+def _period(v: np.ndarray) -> int:
+    """Smallest p dividing v.size with v[i + p] == v[i] for every i, or v.size when there is none.
+
+    Read off the values, never assumed: exact for ints and floats, and a
+    nan equals nothing, so an array holding one has period v.size.
+    """
+    m = v.size
+    for p in range(1, m // 2 + 1):
+        if m % p == 0 and np.array_equal(v[p:], v[:-p]):
+            return p
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +171,26 @@ def near_level_set(g: BaseFunction, epsilon: float, resolution: int,
     return GridSet(marked).dilate()
 
 
+def _oscillation_rows(spec: FunctionSpec, n: int, epsilon: float,
+                      centers: np.ndarray) -> tuple[np.ndarray, int]:
+    """The distinct rows of level n's oscillation set and their period p: row i of the set is rows[i % p]."""
+    v = spec.g.sample(reduced_arguments(spec, n, centers))
+    p = _period(v)
+    return _far_mask(v, epsilon, p), p
+
+
 def oscillation_level_set(spec: FunctionSpec, n: int, epsilon: float,
                           resolution: int) -> GridSet:
-    """Center-test grid set {(x, y): |g(b_n x + th_n) - g(b_n y + th_n)| >= epsilon}."""
+    """Center-test grid set {(x, y): |g(b_n x + th_n) - g(b_n y + th_n)| >= epsilon}.
+
+    Only the level's distinct rows are tested: with p the period of g at
+    the reduced cell centres, read off the values, row i is row i mod p,
+    whose centre has the same g value and so the same bits.
+    """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    centers = cell_centers(resolution)
-    return GridSet(_far_mask(spec.g.sample(reduced_arguments(spec, n, centers)), epsilon))
+    rows, p = _oscillation_rows(spec, n, epsilon, cell_centers(resolution))
+    return GridSet(rows[np.arange(resolution) % p])
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +263,10 @@ def intersection_sequence(a: GridSet, spec: FunctionSpec, n_max: int, on_level=N
     with theta_j the spec's phase; the mod-1 wrap realizes the
     translation-periodized extension of A.  Built for n = 0..n_max, capped
     to usable levels, in place in one bitmap: consecutive sets are nested by
-    construction, so the measures are nonincreasing.
+    construction, so the measures are nonincreasing.  Level j's membership
+    index has a period p dividing m, read off the index itself, so only its
+    p distinct rows are gathered and each is ANDed into the m / p rows that
+    repeat it, with the same bits as a gather of every row.
 
     ``on_level(n, s)``, if given, is called once per level in order
     n = 0..n_effective.  The GridSet it receives is overwritten by the next
@@ -253,8 +283,12 @@ def intersection_sequence(a: GridSet, spec: FunctionSpec, n_max: int, on_level=N
     for j in range(n_eff + 1):
         if j:
             idx = _membership_index(spec, j, centers, m)
-            for lo in range(0, m, rows):
-                bits[lo:lo + rows] &= np.take(np.take(a.bits, idx[lo:lo + rows], axis=0), idx, axis=1)
+            p = _period(idx)
+            tiles = bits.reshape(m // p, p, m)   # tiles[t, r] is row t p + r, whose index is idx[r]
+            assert np.shares_memory(tiles, bits)
+            for lo in range(0, p, rows):
+                blk = np.take(a.bits, idx[lo:min(lo + rows, p)], axis=0)
+                tiles[:, lo:lo + rows] &= np.take(blk, idx, axis=1)
         measures.append(level.measure())
         if on_level is not None:
             on_level(j, level)
@@ -386,28 +420,43 @@ def first_hit_sets(spec: FunctionSpec, epsilon: float, n_max: int,
     """Build the first/second-hit decomposition up to n_max on the grid.
 
     Levels oscillating faster than the grid can resolve are dropped and the
-    effective cap reported in the result.
+    effective cap reported in the result.  Each level tests only its
+    distinct rows, as oscillation_level_set does: with p the period of g
+    at the level's reduced cell centres, read off the values, row i of
+    first and second is updated from row i mod p, whose centre has the
+    same g value, so the maps have the bits of a test of every cell.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     m = resolution
     n_eff = _level_cap(spec, n_max, m)
+    centers = cell_centers(m)
+    rows = max(1, _MASK_BLOCK // m)
     first = np.full((m, m), -1, dtype=np.int16)
     second = np.full((m, m), -1, dtype=np.int16)
+    hit_buf = np.empty((min(rows, m), m), dtype=bool)
+    mask_buf = np.empty_like(hit_buf)
     for n in range(n_eff + 1):
-        hit = oscillation_level_set(spec, n, epsilon, m).bits
-        mask = first >= 0
-        mask &= hit
-        mask &= second < 0
-        np.copyto(second, n, where=mask)
-        np.less(first, 0, out=mask)
-        mask &= hit
-        np.copyto(first, n, where=mask)
-        del hit, mask
+        hits, p = _oscillation_rows(spec, n, epsilon, centers)
+        row_of = np.arange(m) % p
+        for lo in range(0, m, rows):
+            f, s = first[lo:lo + rows], second[lo:lo + rows]
+            hit, mask = hit_buf[:f.shape[0]], mask_buf[:f.shape[0]]
+            np.take(hits, row_of[lo:lo + rows], axis=0, out=hit)
+            # A cell with a second hit has a first one, so the cells hit here
+            # with s < 0 split into those with f >= 0, whose second hit is n,
+            # and those with f < 0, whose first hit is n.
+            np.less(s, 0, out=mask)
+            mask &= hit
+            np.greater_equal(f, 0, out=hit)
+            hit &= mask
+            np.copyto(s, n, where=hit)
+            mask ^= hit
+            np.copyto(f, n, where=mask)
+        del hits   # before the next level's rows are built
 
     k = n_eff + 1
     counts = np.zeros(k * k, dtype=np.int64)
-    rows = max(1, _MASK_BLOCK // m)
     for lo in range(0, m, rows):
         f, s = first[lo:lo + rows], second[lo:lo + rows]
         paired = s >= 0

@@ -496,6 +496,21 @@ def _lane_arguments(digits: np.ndarray, step: tuple) -> np.ndarray:
     return t
 
 
+@lru_cache(maxsize=1 << 12)
+def _level_steps(spec: FunctionSpec, n: int) -> tuple:
+    """(v2, b_ratio, t_ratio, lane) of level n, worked out once per (spec, n).
+
+    b_ratio and t_ratio are _ratios(spec, n), v2 is the 2-adic valuation of
+    b_n, and lane is the level's 63-bit _lattice_step (None where it has no
+    lane).  They depend on the level alone, where the calls that use them
+    (a two-point reduced_levels call, say) can be many and small.
+    """
+    b_ratio, t_ratio = _ratios(spec, n)
+    b_num, k = b_ratio
+    v2 = (b_num & -b_num).bit_length() - 1 - k
+    return v2, b_ratio, t_ratio, _lattice_step(b_ratio, t_ratio, _BITS, _BITS)
+
+
 def reduced_levels(spec: FunctionSpec, xs: np.ndarray, order: int) -> Iterator[np.ndarray]:
     """reduced_arguments(spec, n, xs) for n = 0, 1, ..., order - 1, with the same bits.
 
@@ -506,7 +521,7 @@ def reduced_levels(spec: FunctionSpec, xs: np.ndarray, order: int) -> Iterator[n
     """
     digits = _lattice_digits(xs, _BITS, _BITS) if _fraction_bits(xs) <= _BITS else None
     for n in range(order):
-        step = None if digits is None else _lattice_step(*_ratios(spec, n), _BITS, _BITS)
+        step = None if digits is None else _level_steps(spec, n)[3]
         yield reduced_arguments(spec, n, xs) if step is None else _lane_arguments(digits, step)
 
 
@@ -585,11 +600,7 @@ def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> lis
     for n in range(order):
         terms = [(row, d.values[n]) for row, d in zip(rows, draws) if d.values[n] != 0.0]
         if terms:   # a level no draw adds to is not reduced
-            b_ratio, t_ratio = _ratios(spec, n)
-            b_num, k = b_ratio
-            v2 = (b_num & -b_num).bit_length() - 1 - k
-            lane = _lattice_step(b_ratio, t_ratio, _BITS, _BITS)
-            levels.append((n, v2, b_ratio, t_ratio, lane, terms))
+            levels.append((n, *_level_steps(spec, n), terms))
     if not levels:
         return rows
     g_phase = {}

@@ -88,24 +88,44 @@ def brute_dilate_bits(bits, steps):
     return out
 
 
+def exact_reduced(frequency, phase, xs):
+    """(frequency x + phase) mod 1 for each float x, in Fractions, rounded to float once; 1.0 becomes 0.0."""
+    b, t = Fraction(frequency), Fraction(phase)
+    out = np.array([float((b * Fraction(float(x)) + t) % 1) for x in xs])
+    out[out == 1.0] = 0.0
+    return out
+
+
 def brute_iterated_bits(a_bits, frequencies, phase_pairs, n):
-    """Per-cell loop over membership of the rescaled points in a_bits."""
+    """Row by row, membership of the exactly reduced, rescaled cell centres in a_bits."""
     m = a_bits.shape[0]
+    centers = [(i + 0.5) / m for i in range(m)]
     bits = a_bits.copy()
     for level in range(1, n + 1):
-        bn = frequencies[level]
         tx, ty = phase_pairs[level - 1] if phase_pairs else (0.0, 0.0)
-        keep = np.zeros_like(bits)
+        ix, iy = (np.minimum((exact_reduced(frequencies[level], t, centers) * m).astype(np.int64), m - 1)
+                  for t in (tx, ty))
         for i in range(m):
-            for j in range(m):
-                if not bits[i, j]:
-                    continue
-                u = (bn * ((i + 0.5) / m) + tx) % 1.0
-                v = (bn * ((j + 0.5) / m) + ty) % 1.0
-                if a_bits[min(int(u * m), m - 1), min(int(v * m), m - 1)]:
-                    keep[i, j] = True
-        bits = keep
+            bits[i] &= a_bits[ix[i], iy]
     return bits
+
+
+def brute_first_hits(level_values, eps):
+    """(hits, first, second) from the whole outer difference of each level.
+
+    level_values[n, i] is g at the level-n argument of cell centre i;
+    hits[n] is |level_values[n, i] - level_values[n, j]| >= eps over every
+    pair, and first and second are the first two levels hitting each cell
+    (-1 where there are fewer).
+    """
+    k, m = level_values.shape
+    hits = np.abs(level_values[:, :, None] - level_values[:, None, :]) >= eps
+    first = np.full((m, m), -1, dtype=np.int16)
+    second = np.full((m, m), -1, dtype=np.int16)
+    for n in range(k):
+        second[(first >= 0) & (second < 0) & hits[n]] = n
+        first[(first < 0) & hits[n]] = n
+    return hits, first, second
 
 
 def brute_pair_counts(level_values, eps):

@@ -12,6 +12,8 @@ from wlab.covering import (
     CoverParams,
     GridSet,
     _far_mask,
+    _membership_index,
+    _period,
     cell_centers,
     cover_count,
     decay_fit,
@@ -184,11 +186,15 @@ def test_level_set_masks_build_no_float_square():
     m = 1024
     spec = build_spec(0.8, geometric(2.0), g=COS_PLUS_HALF)
     a = near_level_set(COS, 0.05, m)
+    # b = 2.5 has no period on the grid, so every row of every level is built
+    aperiodic = build_spec(0.8, geometric(2.5), g=COS_PLUS_HALF)
     for build, bound in ((lambda: near_level_set(COS_PLUS_HALF, 0.05, m, method="generic"), 2.5),
                          (lambda: oscillation_level_set(spec, 3, 0.05, m), 8),
                          (lambda: a.dilate(), 1.5),
                          (lambda: intersection_sequence(a, _spec_08_2(), 6), 1.5),
-                         (lambda: first_hit_sets(spec, 0.05, 8, m), 10)):
+                         (lambda: intersection_sequence(a, aperiodic, 6), 1.5),
+                         (lambda: first_hit_sets(spec, 0.05, 8, m), 10),
+                         (lambda: first_hit_sets(aperiodic, 0.05, 6, m), 10)):
         tracemalloc.start()
         try:
             build()
@@ -356,6 +362,106 @@ def test_refinement_moves_measure_slightly():
     for a, b in zip(m1, m2):
         assert b <= a  # finer grid only sheds conservative margin
         assert abs(a - b) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# periodic levels
+# ---------------------------------------------------------------------------
+
+def test_period_of_a_tiled_array():
+    tile = substream(8, "period").random(12)
+    assert _period(np.tile(tile, 8)) == 12
+    assert _period(np.tile([3, 1, 4, 1, 5], 3)) == 5
+    assert _period(np.tile(np.arange(6), 4)) == 6
+    assert _period(np.zeros(7)) == 1
+
+
+def test_period_is_the_size_without_a_repeat():
+    assert _period(substream(8, "period-none").random(96)) == 96
+    assert _period(np.array([1, 2, 1, 2, 1])) == 5   # repeats every 2, but 2 does not divide 5
+    assert _period(np.array([1.0, 2.0, 1.0, 2.0, 1.0, 2.5])) == 6
+    assert _period(np.array([3])) == 1
+
+
+def test_period_with_a_nan_is_the_size():
+    v = np.tile([0.25, 0.5], 4)
+    v[5] = np.nan
+    assert _period(v) == 8
+    assert _period(np.full(4, np.nan)) == 4
+
+
+def test_period_takes_signed_zeros_as_equal():
+    # -0.0 == 0.0, and |v_i - v_j| is the same for either, so no mask sees the sign
+    assert _period(np.array([0.0, 1.0, -0.0, 1.0])) == 2
+
+
+@pytest.mark.parametrize("b, m, phases, want", [
+    (2.0, 2048, [0.0, 0.25, 0.5, 0.75], [2048, 1024, 512, 256, 128, 64, 32]),
+    (3.0, 162, [], [162, 54, 18, 6, 2]),
+    (3.0, 1458, [], [1458, 486, 162, 54, 18, 6]),
+    (3.0, 1536, [], [1536, 512, 512, 512]),   # 1536 / 9 is no integer
+    (2.0, 96, [], [96, 96, 96]),   # rounded centres whose images fall on cell edges
+    (2.5, 256, [], [256, 256, 256, 256]),
+])
+def test_membership_index_periods_are_read_off_the_data(b, m, phases, want):
+    spec = build_spec(0.8, geometric(b), phases=phases)
+    centers = cell_centers(m)
+    assert [_period(_membership_index(spec, j, centers, m)) for j in range(len(want))] == want
+
+
+def test_g_at_rounded_cell_centres_has_no_period():
+    # b = 3 at m = 1536: the index repeats every 512 cells, but the centres
+    # (i + 0.5) / 1536 are rounded, so g at 3 x does not repeat exactly
+    spec = build_spec(0.8, geometric(3.0))
+    centers = cell_centers(1536)
+    assert _period(_membership_index(spec, 1, centers, 1536)) == 512
+    assert _period(COS.sample(reduced_arguments(spec, 1, centers))) == 1536
+
+
+@pytest.mark.filterwarnings("ignore:capping")
+@given(b=st.sampled_from([2.0, 3.0, 4.0, 2.5]),
+       g=st.sampled_from([COS, COS_PLUS_HALF]),
+       m=st.sampled_from([64, 96, 100, 162, 256]),
+       on_lattice=st.booleans(),
+       eps=st.sampled_from([0.05, 0.4, 1.2]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_periodic_levels_keep_the_bits_of_every_cell(b, g, m, on_lattice, eps, seed):
+    # phases on the 1/m lattice keep the index periodic, and off it they
+    # move the cell centres' images off the grid
+    rng = substream(seed, "periodic-levels")
+    n_max = 6
+    phases = rng.integers(0, m, n_max + 1) / m if on_lattice else rng.random(n_max + 1)
+    spec = build_spec(0.8, geometric(b), phases=phases, g=g)
+    freqs = [spec.freq.value(n) for n in range(n_max + 1)]
+
+    a = GridSet(rng.random((m, m)) < 0.9)
+    sets, measures, n_eff = _levels(a, spec, n_max)
+    for n in range(n_eff + 1):
+        want = oracles.brute_iterated_bits(a.bits, freqs, [(t, t) for t in phases[1:]], n)
+        assert np.array_equal(sets[n].bits, want)
+        assert measures[n] == np.count_nonzero(want) / m ** 2
+
+    d = first_hit_sets(spec, eps, n_max, m)
+    k = d.n_max_effective + 1
+    centers = cell_centers(m)
+    values = np.array([oracles.g_reference(g, oracles.exact_reduced(freqs[n], phases[n], centers))
+                       for n in range(k)])
+    hits, first, second = oracles.brute_first_hits(values, eps)
+    assert np.array_equal(d.first, first)
+    pair_measures = np.zeros((k, k))
+    for n0 in range(k):
+        for n1 in range(n0 + 1, k):
+            pair_measures[n0, n1] = np.count_nonzero((first == n0) & (second == n1)) / float(m * m)
+    assert np.array_equal(d.pair_measures, pair_measures)
+    total, partial_sums = 0.0, []
+    for n1 in range(1, k):
+        for n0 in range(n1):
+            total += pair_measures[n0, n1] / (spec.a ** n0 * spec.a ** n1)
+        partial_sums.append(total)
+    assert d.partial_sums == partial_sums
+    for n in range(k):
+        assert oscillation_level_set(spec, n, eps, m) == GridSet(hits[n])
 
 
 # ---------------------------------------------------------------------------

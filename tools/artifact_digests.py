@@ -11,9 +11,14 @@ levels turn constant once 2^12 divides b_n, and a gen on j / 256 for
 b = 2.5 with phases on the 2^-15 lattice, whose levels 0-7 look g up in
 its table, and a gen on the integer --b-seq 1,3,10,...,1000 with phases,
 whose levels 1-6 reduce on the uint64 lane split once per block, while
-level 0, whose phase 1e-30 has over 63 fraction digits, reduces in full)
+level 0, whose phase 1e-30 has over 63 fraction digits, reduces in full,
+and a cover with PBMs on b = 3 at m = 1458 = 2 3^6, whose membership
+indices at levels 1-5 repeat every 486, 162, 54, 18 and 6 rows)
 into a temporary directory, then calls the writers only the library
-reaches (first-hit measures for zero-phase cos and phased cos2, and a
+reaches (first-hit measures for zero-phase cos and phased cos2, both on
+b = 2, whose levels repeat every m / 2^n rows, first-hit measures for
+b = 3 at m = 1458, whose g values at the rounded cell centres do not
+repeat, so every row of every level is tested, and a
 characteristic-function profile).  Prints one ``sha256 path`` line per
 artifact, paths relative to that directory, so two source trees can be
 compared with ``diff``.  Run it from a checkout's root:
@@ -69,6 +74,7 @@ RUNS = [
      "--output", "gen_b2.5_lattice.csv"],
     ["gen", "--b", "3", "--b-seq", "1,3,10,31,100,310,1000", "--phases", "1e-30,0.1,0.375",
      "--points", "1001", "--output", "gen_bseq_lane.csv"],
+    ["cover", "--b", "3", "--resolution", "1458", "--n-max", "5", "--pbm", "--output", "cover_b3.csv"],
     ["verify-all", "--profile", "desk", "--report", "verify.json"],
 ]
 
@@ -88,6 +94,8 @@ def library_writers(out: Path) -> None:
     phased = fn_core.build_spec(0.8, fn_core.geometric(2.0), phases=[float(t) for t in PHASES.split(",")],
                                 g=fn_core.COS_PLUS_HALF)
     covering.first_hit_sets(phased, 0.05, 6, 1024).write_measures_csv(out / "first_hit_cos2.csv")
+    b3 = fn_core.build_spec(0.8, fn_core.geometric(3.0))
+    covering.first_hit_sets(b3, 0.05, 5, 1458).write_measures_csv(out / "first_hit_b3.csv")
     order = fn_core.truncation_order(spec, fn_core.default_tolerance(spec))
     sample = fn_core.sample_graph(spec, fn_core.draw_coefficients(spec, 3, order), 1 << 15)
     occupation.char_function_profile(sample, du=0.5, u_max=64.0).write_csv(out / "profile.csv")
