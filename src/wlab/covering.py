@@ -30,6 +30,13 @@ _MASK_BLOCK = 1 << 16
 # destination both stay in L1, where a whole-grid strided transpose does not.
 _PBM_TILE = 128
 
+# first_hit_sets updates the whole square level by level while more than
+# this share of its cells lacks a second hit, then walks only those cells,
+# this many at a time: a step's two float64 gathers and the intp copies of
+# their indices then fill about two of the 512 KiB mask blocks.
+_OPEN_SHARE = 0.125
+_OPEN_CHUNK = _MASK_BLOCK // 2
+
 
 # ---------------------------------------------------------------------------
 # bitmap sets
@@ -171,10 +178,15 @@ def near_level_set(g: BaseFunction, epsilon: float, resolution: int,
     return GridSet(marked).dilate()
 
 
+def _level_values(spec: FunctionSpec, n: int, centers: np.ndarray) -> np.ndarray:
+    """g at level n's reduced arguments of the cell centres."""
+    return spec.g.sample(reduced_arguments(spec, n, centers))
+
+
 def _oscillation_rows(spec: FunctionSpec, n: int, epsilon: float,
                       centers: np.ndarray) -> tuple[np.ndarray, int]:
     """The distinct rows of level n's oscillation set and their period p: row i of the set is rows[i % p]."""
-    v = spec.g.sample(reduced_arguments(spec, n, centers))
+    v = _level_values(spec, n, centers)
     p = _period(v)
     return _far_mask(v, epsilon, p), p
 
@@ -201,26 +213,29 @@ def cover_count(s: GridSet, delta: float) -> int:
     """Number of delta-squares on the 0-anchored regular grid meeting the set.
 
     Counts squares of the fixed grid, which upper-bounds the minimal cover.
+    A square counts for a marked cell when they overlap by more than
+    1e-9 of a square's side, so a square edge that lands on a cell edge,
+    up to the rounding of delta, adds no square on either side of it.
     delta below the bitmap cell size would pretend to sub-cell knowledge, so
     it is an error.
     """
     m = s.resolution
     if delta < 1.0 / m:
         raise ValueError(f"delta {delta} finer than the grid resolution 1/{m}")
-    ix, iy = np.nonzero(s.bits)
+    ix, iy = np.divmod(np.flatnonzero(s.bits), m)   # one flat scan: the order of np.nonzero
     if len(ix) == 0:
         return 0
-    n_squares = int(math.ceil(1.0 / delta - 1e-12))
-    inv = 1.0 / (m * delta)
-    kx_lo = np.floor(ix * inv).astype(np.int64)
-    ky_lo = np.floor(iy * inv).astype(np.int64)
-    kx_hi = np.ceil((ix + 1) * inv).astype(np.int64) - 1
-    ky_hi = np.ceil((iy + 1) * inv).astype(np.int64) - 1
-    np.clip(kx_hi, None, n_squares - 1, out=kx_hi)
-    np.clip(ky_hi, None, n_squares - 1, out=ky_hi)
+    slack = 1e-9
+    n_squares = int(math.ceil(1.0 / delta - slack))
+    # Cell i = [i/m, (i + 1)/m) meets squares floor(r_i + slack) through
+    # ceil(r_(i+1) - slack) - 1, with r_i = i / (m delta) in squares; a cell
+    # is no wider than a square, so those are at most two.
+    r = np.arange(m + 1) / (m * delta)
+    lo = np.floor(r[:-1] + slack).astype(np.intp)
+    hi = np.minimum(np.ceil(r[1:] - slack).astype(np.intp) - 1, n_squares - 1)
     hit = np.zeros((n_squares, n_squares), dtype=bool)
-    for kx in (kx_lo, kx_hi):
-        for ky in (ky_lo, ky_hi):
+    for kx in (lo[ix], hi[ix]):
+        for ky in (lo[iy], hi[iy]):
             hit[kx, ky] = True
     return int(np.count_nonzero(hit))
 
@@ -415,54 +430,104 @@ class FirstHitDecomposition:
                    ((n0, n1, self.pair_measures[n0, n1]) for n0 in range(k) for n1 in range(n0 + 1, k)))
 
 
+def _add_pairs(counts: np.ndarray, n: int, f: np.ndarray, paired: np.ndarray) -> int:
+    """Add the cells marked in paired, first hit at f and next at n, to counts[f, n]; return their number."""
+    n_paired = np.count_nonzero(paired)
+    if n == 1:
+        counts[0, 1] += n_paired   # a second hit at 1 follows a first at 0
+    elif n_paired:
+        counts[:, n] += np.bincount(np.compress(paired.ravel(), f.ravel()), minlength=counts.shape[0])
+    return n_paired
+
+
+def _open_cells_level(c: np.ndarray, flat: np.ndarray, m: int, v: np.ndarray, epsilon: float,
+                      n: int, counts: np.ndarray) -> tuple[np.ndarray, int]:
+    """Level n's test of the open cells with flat indices c, v being g at its reduced cell centres.
+
+    Cell (i, j) is hit when |v[i] - v[j]| >= epsilon.  Writes the first
+    hits into the flat first-hit map, adds the new pairs to counts, and
+    returns the cells still open and the number of first hits.  A function
+    of its own, so that one chunk's temporaries are freed before the next.
+    """
+    i = c // m
+    d = np.take(v, i)
+    d -= np.take(v, c - i * m)
+    hit = np.abs(d, out=d) >= epsilon
+    f = np.take(flat, c)
+    paired = f >= 0
+    paired &= hit
+    hit ^= paired
+    _add_pairs(counts, n, f, paired)
+    flat[np.compress(hit, c)] = n
+    return np.compress(~paired, c), np.count_nonzero(hit)
+
+
 def first_hit_sets(spec: FunctionSpec, epsilon: float, n_max: int,
                    resolution: int) -> FirstHitDecomposition:
     """Build the first/second-hit decomposition up to n_max on the grid.
 
     Levels oscillating faster than the grid can resolve are dropped and the
-    effective cap reported in the result.  Each level tests only its
-    distinct rows, as oscillation_level_set does: with p the period of g
-    at the level's reduced cell centres, read off the values, row i of
-    first and second is updated from row i mod p, whose centre has the
-    same g value, so the maps have the bits of a test of every cell.
+    effective cap reported in the result.  While more than an eighth of the
+    cells lack a second hit, a level updates the whole square, testing only
+    its distinct rows as oscillation_level_set does: row i is row i mod p,
+    p the period of g at the level's reduced cell centres, read off the
+    values.  Later levels test only the open cells, kept as a list of flat
+    indices that drops each cell once it is paired: cell (i, j) is hit when
+    |v[i] - v[j]| >= epsilon, v being g at the reduced centres, the very
+    subtraction of the row test since v[i] == v[i mod p].  Either way the
+    maps have the bits of a test of every cell.  Pairs are counted as they
+    are found.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     m = resolution
     n_eff = _level_cap(spec, n_max, m)
+    k = n_eff + 1
     centers = cell_centers(m)
     rows = max(1, _MASK_BLOCK // m)
     first = np.full((m, m), -1, dtype=np.int16)
-    second = np.full((m, m), -1, dtype=np.int16)
+    counts = np.zeros((k, k), dtype=np.int64)   # counts[n0, n1]: first hit at n0, next at n1
+    n_unhit = n_open = m * m
+    is_open = np.ones((m, m), dtype=bool)   # no second hit yet
     hit_buf = np.empty((min(rows, m), m), dtype=bool)
     mask_buf = np.empty_like(hit_buf)
-    for n in range(n_eff + 1):
+    n = 0
+    while n < k and n_open > _OPEN_SHARE * m * m:
         hits, p = _oscillation_rows(spec, n, epsilon, centers)
         row_of = np.arange(m) % p
         for lo in range(0, m, rows):
-            f, s = first[lo:lo + rows], second[lo:lo + rows]
+            f, o = first[lo:lo + rows], is_open[lo:lo + rows]
             hit, mask = hit_buf[:f.shape[0]], mask_buf[:f.shape[0]]
             np.take(hits, row_of[lo:lo + rows], axis=0, out=hit)
-            # A cell with a second hit has a first one, so the cells hit here
-            # with s < 0 split into those with f >= 0, whose second hit is n,
-            # and those with f < 0, whose first hit is n.
-            np.less(s, 0, out=mask)
-            mask &= hit
+            # The open cells hit here split into those with f >= 0, paired
+            # at n, and those with f < 0, whose first hit is n.
+            np.logical_and(o, hit, out=mask)
             np.greater_equal(f, 0, out=hit)
             hit &= mask
-            np.copyto(s, n, where=hit)
+            n_open -= _add_pairs(counts, n, f, hit)
+            o ^= hit
             mask ^= hit
             np.copyto(f, n, where=mask)
+            n_unhit -= np.count_nonzero(mask)
         del hits   # before the next level's rows are built
+        n += 1
 
-    k = n_eff + 1
-    counts = np.zeros(k * k, dtype=np.int64)
-    for lo in range(0, m, rows):
-        f, s = first[lo:lo + rows], second[lo:lo + rows]
-        paired = s >= 0
-        # int32: int16 codes would wrap once k >= 182, which b close to 1 reaches.
-        counts += np.bincount(f[paired].astype(np.int32) * np.int32(k) + s[paired], minlength=k * k)
-    pair_measures = counts.reshape(k, k).astype(np.float64) / float(m * m)
+    if n < k:
+        # The open cells' flat indices, in int32 wherever it holds m^2 - 1.
+        cells = np.flatnonzero(is_open).astype(np.int32 if m * m <= 1 << 31 else np.intp)
+        del is_open
+        flat = first.reshape(-1)
+        for n in range(n, k):
+            v = _level_values(spec, n, centers)
+            kept = 0
+            for lo in range(0, cells.size, _OPEN_CHUNK):
+                c, n_first = _open_cells_level(cells[lo:lo + _OPEN_CHUNK], flat, m, v, epsilon, n, counts)
+                n_unhit -= n_first
+                cells[kept:kept + c.size] = c
+                kept += c.size
+            cells = cells[:kept]
+        n_open = cells.size
+    pair_measures = counts.astype(np.float64) / float(m * m)
 
     a = spec.a
     partial_sums = []
@@ -478,8 +543,8 @@ def first_hit_sets(spec: FunctionSpec, epsilon: float, n_max: int,
         first=first,
         pair_measures=pair_measures,
         partial_sums=partial_sums,
-        residual_first=float(np.count_nonzero(first < 0)) / float(m * m),
-        residual_pair=float(np.count_nonzero(second < 0)) / float(m * m),
+        residual_first=float(n_unhit) / float(m * m),
+        residual_pair=float(n_open) / float(m * m),
     )
 
 

@@ -145,19 +145,27 @@ def brute_pair_counts(level_values, eps):
 
 
 def brute_cover_count(bits, delta):
-    """Enumerate delta-squares and scan every grid cell for intersection."""
+    """Enumerate delta-squares and scan every grid cell for an overlap, in exact rationals.
+
+    Square k = [k delta, (k + 1) delta) counts for cell i = [i/m, (i + 1)/m)
+    when they overlap by more than 1e-9 delta, delta taken at its binary
+    value, so a square edge on a cell edge up to rounding counts no square.
+    """
     m = bits.shape[0]
+    d = Fraction(delta)
+    slack = d / 10 ** 9
+
+    def squares(i):
+        lo, hi = Fraction(i, m), Fraction(i + 1, m)
+        return [k for k in range(math.floor(lo / d) - 1, math.floor(hi / d) + 2)
+                if min((k + 1) * d, hi) - max(k * d, lo) > slack]
+
+    per_cell = [squares(i) for i in range(m)]
     hit = set()
     for i, j in zip(*np.nonzero(bits)):
-        x_lo, x_hi = i / m, (i + 1) / m
-        y_lo, y_hi = j / m, (j + 1) / m
-        kx = int(math.floor(x_lo / delta))
-        while kx * delta < x_hi:
-            ky = int(math.floor(y_lo / delta))
-            while ky * delta < y_hi:
+        for kx in per_cell[i]:
+            for ky in per_cell[j]:
                 hit.add((kx, ky))
-                ky += 1
-            kx += 1
     return len(hit)
 
 

@@ -182,7 +182,9 @@ def test_near_level_paths_match_outer_difference_expressions():
 
 def test_level_set_masks_build_no_float_square():
     # the traced peak stays below one float64 m x m array, and the bitmap
-    # stages hold at most about one working bitmap each (bounds in m^2 bytes)
+    # stages hold at most about one working bitmap each (bounds in m^2 bytes);
+    # a larger eps leaves more cells open for longer before first_hit_sets
+    # walks them as a list
     m = 1024
     spec = build_spec(0.8, geometric(2.0), g=COS_PLUS_HALF)
     a = near_level_set(COS, 0.05, m)
@@ -193,8 +195,8 @@ def test_level_set_masks_build_no_float_square():
                          (lambda: a.dilate(), 1.5),
                          (lambda: intersection_sequence(a, _spec_08_2(), 6), 1.5),
                          (lambda: intersection_sequence(a, aperiodic, 6), 1.5),
-                         (lambda: first_hit_sets(spec, 0.05, 8, m), 10),
-                         (lambda: first_hit_sets(aperiodic, 0.05, 6, m), 10)):
+                         *((lambda eps=eps: first_hit_sets(spec, eps, 8, m), 6) for eps in (0.05, 0.4, 1.2)),
+                         *((lambda eps=eps: first_hit_sets(aperiodic, eps, 6, m), 6) for eps in (0.05, 0.4, 1.2))):
         tracemalloc.start()
         try:
             build()
@@ -241,9 +243,21 @@ def test_cover_count_rejects_subcell_delta():
         cover_count(_full(16), 1.0 / 32.0)
 
 
-@given(arrays(bool, (16, 16)), st.sampled_from([1.0 / 4, 1.0 / 8, 1.0 / 16, 0.3]))
+@pytest.mark.parametrize("m, cell, delta", [(100, 29, 0.3), (100, 89, 0.3), (1458, 729, 0.25), (24, 23, 1.0 / 3)])
+def test_cover_count_square_edge_on_a_cell_edge(m, cell, delta):
+    # the cell ends (or starts) where a square does, up to the rounding of
+    # delta or of cell / (m delta), so it lies in one square
+    bits = np.zeros((m, m), dtype=bool)
+    bits[cell, cell] = True
+    assert cover_count(GridSet(bits), delta) == 1
+    assert oracles.brute_cover_count(bits, delta) == 1
+
+
+@given(st.sampled_from([16, 24, 100]).flatmap(lambda m: arrays(bool, (m, m))),
+       st.sampled_from([1.0 / 4, 1.0 / 8, 1.0 / 16, 0.3]))
 @settings(max_examples=40, deadline=None)
 def test_cover_count_matches_brute_force(bits, delta):
+    # cover_count splits flat cell indices by m, so m need not be a power of two
     s = GridSet(bits)
     assert cover_count(s, delta) == oracles.brute_cover_count(bits, delta)
 
@@ -423,12 +437,14 @@ def test_g_at_rounded_cell_centres_has_no_period():
        g=st.sampled_from([COS, COS_PLUS_HALF]),
        m=st.sampled_from([64, 96, 100, 162, 256]),
        on_lattice=st.booleans(),
-       eps=st.sampled_from([0.05, 0.4, 1.2]),
+       eps=st.sampled_from([1e-9, 0.05, 0.4, 1.2, 3.5]),
        seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_periodic_levels_keep_the_bits_of_every_cell(b, g, m, on_lattice, eps, seed):
     # phases on the 1/m lattice keep the index periodic, and off it they
-    # move the cell centres' images off the grid
+    # move the cell centres' images off the grid; first_hit_sets walks the
+    # open cells as a list from level 2 on at eps = 1e-9, later or never at
+    # the larger eps, and at 3.5 > |g(x) - g(y)| no cell is ever hit
     rng = substream(seed, "periodic-levels")
     n_max = 6
     phases = rng.integers(0, m, n_max + 1) / m if on_lattice else rng.random(n_max + 1)
@@ -460,6 +476,10 @@ def test_periodic_levels_keep_the_bits_of_every_cell(b, g, m, on_lattice, eps, s
             total += pair_measures[n0, n1] / (spec.a ** n0 * spec.a ** n1)
         partial_sums.append(total)
     assert d.partial_sums == partial_sums
+    assert d.residual_first == np.count_nonzero(first < 0) / float(m * m)
+    assert d.residual_pair == np.count_nonzero(second < 0) / float(m * m)
+    if eps > 2 * g.sup_abs:
+        assert d.residual_first == d.residual_pair == 1.0
     for n in range(k):
         assert oscillation_level_set(spec, n, eps, m) == GridSet(hits[n])
 

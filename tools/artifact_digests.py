@@ -15,10 +15,12 @@ level 0, whose phase 1e-30 has over 63 fraction digits, reduces in full,
 and a cover with PBMs on b = 3 at m = 1458 = 2 3^6, whose membership
 indices at levels 1-5 repeat every 486, 162, 54, 18 and 6 rows)
 into a temporary directory, then calls the writers only the library
-reaches (first-hit measures for zero-phase cos and phased cos2, both on
-b = 2, whose levels repeat every m / 2^n rows, first-hit measures for
-b = 3 at m = 1458, whose g values at the rounded cell centres do not
-repeat, so every row of every level is tested, and a
+reaches (first-hit decompositions for zero-phase cos and phased cos2,
+both on b = 2, whose levels repeat every m / 2^n rows, and for b = 3 at
+m = 1458, whose g values at the rounded cell centres do not repeat, so
+every row of every level is tested; each writes its pair measures to
+``<case>.csv`` and the bytes of its whole m x m first-hit map, int16
+little-endian in row-major order, to ``<case>.first.i16``; and a
 characteristic-function profile).  Prints one ``sha256 path`` line per
 artifact, paths relative to that directory, so two source trees can be
 compared with ``diff``.  Run it from a checkout's root:
@@ -88,14 +90,21 @@ def run_cli(args) -> None:
                 raise RuntimeError(f"wlab {' '.join(args)} exited {exc.code}") from None
 
 
+def write_first_hits(spec, n_max: int, resolution: int, path: Path) -> None:
+    """A first-hit decomposition's pair measures (CSV) and its first-hit map (raw little-endian int16)."""
+    d = covering.first_hit_sets(spec, 0.05, n_max, resolution)
+    d.write_measures_csv(path.with_suffix(".csv"))
+    path.with_suffix(".first.i16").write_bytes(d.first.astype("<i2").tobytes())
+
+
 def library_writers(out: Path) -> None:
     spec = fn_core.build_spec(0.8, fn_core.geometric(2.0))
-    covering.first_hit_sets(spec, 0.05, 6, 512).write_measures_csv(out / "first_hit.csv")
+    write_first_hits(spec, 6, 512, out / "first_hit")
     phased = fn_core.build_spec(0.8, fn_core.geometric(2.0), phases=[float(t) for t in PHASES.split(",")],
                                 g=fn_core.COS_PLUS_HALF)
-    covering.first_hit_sets(phased, 0.05, 6, 1024).write_measures_csv(out / "first_hit_cos2.csv")
+    write_first_hits(phased, 6, 1024, out / "first_hit_cos2")
     b3 = fn_core.build_spec(0.8, fn_core.geometric(3.0))
-    covering.first_hit_sets(b3, 0.05, 5, 1458).write_measures_csv(out / "first_hit_b3.csv")
+    write_first_hits(b3, 5, 1458, out / "first_hit_b3")
     order = fn_core.truncation_order(spec, fn_core.default_tolerance(spec))
     sample = fn_core.sample_graph(spec, fn_core.draw_coefficients(spec, 3, order), 1 << 15)
     occupation.char_function_profile(sample, du=0.5, u_max=64.0).write_csv(out / "profile.csv")
