@@ -342,15 +342,18 @@ def tail_bound(spec: FunctionSpec, order: int) -> float:
 
 _BITS = 63  # fraction bits of the uint64 lane
 _MASK = (1 << _BITS) - 1
+_TABLE_BITS = 15   # the table levels' lattice 2^-15, and the 2^15 entries of their g table
 
 
 def _wide_lane(m, e, b_num: int, k: int, t_num: int, kt: int) -> np.ndarray:
-    """The reduction rule on Python ints, with S = max(k - e, kt) fraction bits per point."""
+    """The reduction rule on Python ints, with S = max(k - e, kt) fraction bits per point; 1.0 gives 0.0."""
     s = np.maximum(k - e.astype(np.int64), kt)
     num = m.astype(object) * b_num << (s - k + e).astype(object)
     num += t_num << (s - kt).astype(object)
     den = 1 << s.astype(object)
-    return ((num % den) / den).astype(np.float64)  # int / int rounds once
+    t = ((num % den) / den).astype(np.float64)  # int / int rounds once
+    t[t == 1.0] = 0.0
+    return t
 
 
 def _ratios(spec: FunctionSpec, n: int) -> tuple:
@@ -373,29 +376,26 @@ def reduced_arguments(spec: FunctionSpec, n: int, xs) -> np.ndarray:
     theta_n = T / 2^kt and x = M 2^e (every float is dyadic), the result is
     ((B X + T') mod 2^S) / 2^S for integers X and T' on S fraction bits,
     rounded once; a result that rounds to 1.0 is 0.0.  Points whose X fits
-    S = 63 bits (e >= k - 63, kt <= 63) take a wrapping uint64 lane; the
+    S = 63 bits (e >= k - 63, kt <= 63) take the uint64 lane (_lane_arguments); the
     rest take the same rule on Python ints.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     bad = ~np.isfinite(xs)
     if bad.any():  # their mantissas have no int64 cast: reduce 0 there, then give nan
         xs = np.where(bad, 0.0, xs)
-    (b_num, k), (t_num, kt) = _ratios(spec, n)
+    ratios = _ratios(spec, n)
+    (b_num, k), (t_num, kt) = ratios
     m, e = np.frexp(xs)
     m = (m * 2.0 ** 53).astype(np.int64)  # x = m 2^e exactly, |m| < 2^53
     e -= 53
     if kt > _BITS:
         t = _wide_lane(m, e, b_num, k, t_num, kt)
-    else:  # X = m 2^(e + 63 - k) mod 2^63, in place
-        u = m.view(np.uint64) << _clamp(e + (_BITS - k), _BITS).astype(np.uint64)
-        u *= np.uint64(b_num & _MASK)
-        u += np.uint64((t_num << (_BITS - kt)) & _MASK)
-        u &= np.uint64(_MASK)
-        t = u * 2.0 ** -_BITS
+    else:   # the lane on X = m 2^(e + 63 - k) = x 2^(63 - k); its step exists for every b_n
+        digits = m.view(np.uint64) << _clamp(e + (_BITS - k), _BITS).astype(np.uint64)
+        t = _lane_arguments(digits, _lattice_step(*ratios, _BITS - k, _BITS))
         wide = e < k - _BITS
         if wide.any():
             t[wide] = _wide_lane(m[wide], e[wide], b_num, k, t_num, kt)
-    t[t == 1.0] = 0.0
     t[bad] = np.nan
     return t
 
@@ -447,9 +447,9 @@ def _lattice_step(b_ratio: tuple, t_ratio: tuple, bits, width: int) -> tuple | N
     most bits fraction digits.  The reduced arguments of such x lie on the
     lattice 2^-max(bits - v2(b_n), kt); where that lattice divides
     2^-width, F and T are integers, and None is returned where it does not.
-    At bits = width = 63 that is every integer b_n with kt <= 63, and
-    (F, T) = (B, t 2^(63 - kt)) mod 2^63 are the factor and offset of the
-    uint64 lane of reduced_arguments.
+    (F, T) reads only X mod 2^width, so X may be split at a greater width.
+    At bits = 63 - k and width = 63 there is a step for every b_n with
+    kt <= 63: the factor and offset of the uint64 lane of reduced_arguments.
     """
     (b_num, k), (t_num, kt) = b_ratio, t_ratio
     v2 = (b_num & -b_num).bit_length() - 1 - k
@@ -462,30 +462,30 @@ def _lattice_step(b_ratio: tuple, t_ratio: tuple, bits, width: int) -> tuple | N
 
 
 @lru_cache(maxsize=None)
-def _g_table(g: BaseFunction, size: int) -> np.ndarray:
-    """g at i / size for i < size: g on every lattice level of _evaluate_rows (256 KiB at 2^15).
+def _g_table(g: BaseFunction) -> np.ndarray:
+    """g at i / 2^15 for i < 2^15: g on every table level of _level_pass (256 KiB).
 
     Read-only, since every worker thread of every later call shares it.
     """
-    table = g.sample(np.arange(size) * (1.0 / size))
+    table = g.sample(np.arange(1 << _TABLE_BITS) * 2.0 ** -_TABLE_BITS)
     table.flags.writeable = False
     return table
 
 
 def _lattice_g(g: BaseFunction, digits: np.ndarray, step: tuple) -> np.ndarray:
-    """g(b_n x + theta_n) on a lattice level: a lookup, with the bits of g at the reduced argument."""
+    """g(b_n x + theta_n) on a table level: a lookup, with the bits of g at the reduced argument."""
     factor, offset = step
     idx = digits * factor
     idx += offset
-    idx &= _BLOCK - 1
-    return _g_table(g, _BLOCK)[idx]
+    idx &= (1 << _TABLE_BITS) - 1
+    return _g_table(g)[idx]
 
 
 def _lane_arguments(digits: np.ndarray, step: tuple) -> np.ndarray:
-    """reduced_arguments on a lane level, from X = x 2^63 mod 2^63 and step = (B, T).
+    """reduced_arguments on a lane level, from X = x 2^bits mod 2^63 and step = (F, T).
 
-    The uint64 lane rule itself: ((X B + T) mod 2^63) 2^-63, rounded once,
-    with a result of 1.0 set to 0.0, so the bits are those of the reduction.
+    The uint64 lane rule: ((X F + T) mod 2^63) 2^-63, the exact reduced
+    argument, rounded once, with a result of 1.0 set to 0.0.
     """
     factor, offset = step
     u = digits.view(np.uint64) * np.uint64(factor)
@@ -496,42 +496,13 @@ def _lane_arguments(digits: np.ndarray, step: tuple) -> np.ndarray:
     return t
 
 
-@lru_cache(maxsize=1 << 12)
-def _level_steps(spec: FunctionSpec, n: int) -> tuple:
-    """(v2, b_ratio, t_ratio, lane) of level n, worked out once per (spec, n).
-
-    b_ratio and t_ratio are _ratios(spec, n), v2 is the 2-adic valuation of
-    b_n, and lane is the level's 63-bit _lattice_step (None where it has no
-    lane).  They depend on the level alone, where the calls that use them
-    (a two-point reduced_levels call, say) can be many and small.
-    """
-    b_ratio, t_ratio = _ratios(spec, n)
-    b_num, k = b_ratio
-    v2 = (b_num & -b_num).bit_length() - 1 - k
-    return v2, b_ratio, t_ratio, _lattice_step(b_ratio, t_ratio, _BITS, _BITS)
-
-
-def reduced_levels(spec: FunctionSpec, xs: np.ndarray, order: int) -> Iterator[np.ndarray]:
-    """reduced_arguments(spec, n, xs) for n = 0, 1, ..., order - 1, with the same bits.
-
-    Where no x of the flat array xs has over 63 fraction digits, x is split
-    once, and each level with an integer b_n and theta_n = t / 2^kt,
-    kt <= 63, takes the lane rule (_lane_arguments); every other level is
-    one reduced_arguments call.
-    """
-    digits = _lattice_digits(xs, _BITS, _BITS) if _fraction_bits(xs) <= _BITS else None
-    for n in range(order):
-        step = None if digits is None else _level_steps(spec, n)[3]
-        yield reduced_arguments(spec, n, xs) if step is None else _lane_arguments(digits, step)
-
-
 # ---------------------------------------------------------------------------
 # evaluation and sampling
 # ---------------------------------------------------------------------------
 
 _WORKER_THREADS = contextvars.ContextVar("wlab_worker_threads", default=1)
 _MIN_CHUNK = 1 << 14   # fewest points worth a thread of their own
-_BLOCK = 1 << 15       # most points one level pass of the shared kernel touches
+_BLOCK = 1 << 15       # most points one block of the level pass holds; even, so it holds whole pairs
 _GROUP_DOUBLES = 1 << 22   # most output doubles (rows x points) sample_graphs keeps alive
 
 
@@ -551,40 +522,101 @@ def worker_threads(n: int):
         _WORKER_THREADS.reset(token)
 
 
+@lru_cache(maxsize=1 << 12)
+def _level_steps(spec: FunctionSpec, n: int, bits) -> tuple:
+    """(kind, step) of level n on a block of x with at most bits fraction digits.
+
+    kind is "constant", "table", "lane" or "general" (see _level_pass).
+    step is g at the reduced phase on a constant level, the level's
+    _lattice_step at width 15 on a table level and at width 63 on a lane
+    level, and None otherwise.  Worked out once per (spec, n, bits), since
+    the calls that use it (C8's two-point increment_half_widths calls, say)
+    can be many and small.
+    """
+    b_ratio, t_ratio = _ratios(spec, n)
+    b_num, k = b_ratio
+    if (b_num & -b_num).bit_length() - 1 - k >= bits:   # b_n x is an integer
+        return "constant", spec.g.sample(reduced_arguments(spec, n, np.zeros(1)))[0]
+    for kind, width in (("table", _TABLE_BITS), ("lane", _BITS)):
+        step = _lattice_step(b_ratio, t_ratio, bits, width)
+        if step is not None:
+            return kind, step
+    return "general", None
+
+
+def _level_pass(spec: FunctionSpec, xs: np.ndarray, levels: list, consume) -> None:
+    """Call consume(start, stop, n, s) with s = g(b_n x + theta_n) at the x of xs[start:stop].
+
+    xs is flat and levels an increasing list of level indices.  The points
+    are cut into one contiguous chunk per worker thread (see
+    worker_threads), with fewer threads when a chunk would hold under 2^14
+    points; a single chunk runs on the calling thread.  Chunk bounds are
+    even, and each chunk is walked in blocks of at most 2^15 points, so a
+    block holds whole pairs (xs[2i], xs[2i + 1]).  Per block, consume is
+    called for each level of levels in order; s is a fresh array, or one
+    float where the level is constant on the block.  With p the block's
+    most binary fraction digits and X = x 2^p mod 2^63, split from each x
+    at most once per block, a level is the first of four kinds that
+    applies:
+
+    - constant, where 2^p divides b_n, so b_n x is an integer at every x
+      of the block (as for even b from some n on): s is g at the reduced
+      phase, computed once per (spec, n, p);
+    - table, where every reduced argument is i / 2^15 for an integer i
+      (max(p - v2(b_n), kt) <= 15 for theta_n = t / 2^kt): i comes from
+      X mod 2^15, and g is looked up in a table of g at i / 2^15, built
+      once per base function;
+    - lane, where every reduced argument lies on 2^-63
+      (max(p - v2(b_n), kt) <= 63): the uint64 lane rule of
+      reduced_arguments on X (_lane_arguments), and one g.sample;
+    - general: one reduced_arguments call on the block and one g.sample.
+
+    The lookup gives the bits of g.sample(reduced_arguments(...)), since
+    the reduced argument is exactly i / 2^15 and g is elementwise, and the
+    lane computes the exact reduced argument and rounds it once.  So s has
+    the same bits for any thread count and block size.
+    """
+    if not levels:
+        return
+
+    def run(lo: int, hi: int) -> None:
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            block = xs[start:stop]
+            bits = _fraction_bits(block)
+            digits = None   # X, split at need
+            for n in levels:
+                kind, step = _level_steps(spec, n, bits)
+                if digits is None and kind in ("table", "lane"):
+                    digits = _lattice_digits(block, bits, _BITS)
+                if kind == "constant":
+                    s = step
+                elif kind == "table":
+                    s = _lattice_g(spec.g, digits, step)
+                elif kind == "lane":
+                    s = spec.g.sample(_lane_arguments(digits, step))
+                else:
+                    s = spec.g.sample(reduced_arguments(spec, n, block))
+                consume(start, stop, n, s)
+
+    workers = min(_WORKER_THREADS.get(), xs.size // _MIN_CHUNK)
+    if workers <= 1:
+        run(0, xs.size)
+    else:
+        bounds = [i * xs.size // workers & ~1 for i in range(workers)] + [xs.size]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, bounds[:-1], bounds[1:]))
+
+
 def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> list:
     """Per draw, the partial sum over n < order of values[n] * g(b_n x + theta_n) at each x.
 
     xs is flat, and each draw gets its own row of xs.size doubles.
 
-    The kernel behind evaluate_many and sample_graphs.  The points are cut
-    into one contiguous chunk per worker thread (see worker_threads), with
-    fewer threads when a chunk would hold under 2^14 points; a single chunk
-    runs on the calling thread.  Each chunk is walked in blocks of at most
-    2^15 points.  Per block and level, g(b_n x + theta_n) is found once for
-    every draw whose coefficient is nonzero, and each such draw adds
-    values[n] * g into its slice of its row, in order n = 0, 1, ...  With p
-    the block's most binary fraction digits, a level is the first of four
-    kinds that applies:
-
-    - constant, where 2^p divides b_n, so b_n x is an integer at every x
-      of the block (as for even b from some n on): g at the reduced phase,
-      computed once per call, and each draw adds one product to its slice;
-    - lattice, where every reduced argument is i / 2^15 for an integer i
-      (max(p - v2(b_n), kt) <= 15 for theta_n = t / 2^kt): i comes from
-      x 2^p mod 2^15, split once per block, and g is looked up in a table
-      of g at i / 2^15, built once per base function;
-    - lane, where p <= 63, b_n is an integer and kt <= 63: the reduced
-      argument is the uint64 lane rule of reduced_arguments on
-      x 2^63 mod 2^63, split once per block, and g is one g.sample;
-    - general: one reduced_arguments call on the block and one g.sample.
-
-    The lookup gives the bits of g.sample(reduced_arguments(...)), since
-    the reduced argument is exactly i / 2^15 and g is elementwise, and the
-    lane computes the reduction's own integers.  So every point of every
-    draw sums the same products in the same order, and each row has the
-    same bits for any thread count, block size and number of draws.  At
-    most one block of split digits is alive at a time.  Draws with no
-    nonzero coefficient walk no block.
+    The kernel behind evaluate_many and sample_graphs: one _level_pass, in
+    which each draw adds values[n] * g into its row where values[n] != 0, so
+    each row has the same bits for any thread count, block size and number
+    of draws.  A level no draw adds to is not reduced.
     """
     if not draws:
         raise ValueError("need at least one draw")
@@ -596,60 +628,14 @@ def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> lis
     if max_order is not None and order > max_order:
         raise ValueError(f"order {order} exceeds the {max_order} explicit frequencies")
     rows = [np.zeros(xs.size) for _ in draws]
-    levels = []
-    for n in range(order):
-        terms = [(row, d.values[n]) for row, d in zip(rows, draws) if d.values[n] != 0.0]
-        if terms:   # a level no draw adds to is not reduced
-            levels.append((n, *_level_steps(spec, n), terms))
-    if not levels:
-        return rows
-    g_phase = {}
+    terms = {n: [(row, d.values[n]) for row, d in zip(rows, draws) if d.values[n] != 0.0]
+             for n in range(order)}
 
-    def constant(n: int) -> float:
-        # g(b_n x + theta_n) where b_n x is an integer: g at the reduced phase
-        if n not in g_phase:
-            g_phase[n] = spec.g.sample(reduced_arguments(spec, n, np.zeros(1)))[0]
-        return g_phase[n]
+    def add(start: int, stop: int, n: int, s) -> None:
+        for row, c in terms[n]:
+            row[start:stop] += c * s
 
-    def run(lo: int, hi: int) -> None:
-        tmp = np.empty(min(_BLOCK, hi - lo))
-        size = _BLOCK.bit_length() - 1
-        for start in range(lo, hi, _BLOCK):
-            stop = min(start + _BLOCK, hi)
-            block, prod = xs[start:stop], tmp[:stop - start]
-            bits = _fraction_bits(block)
-            width, digits = None, None   # x 2^bits mod 2^width, split at need
-            for n, v2, b_ratio, t_ratio, lane, terms in levels:
-                if v2 >= bits:   # b_n x is an integer at every x of the block
-                    s = constant(n)
-                    for row, c in terms:
-                        row[start:stop] += c * s
-                    continue
-                step = _lattice_step(b_ratio, t_ratio, bits, size)
-                if step is not None:
-                    if width != size:
-                        digits = None   # drop a lane split before this one is made
-                        width, digits = size, _lattice_digits(block, bits, size)
-                    s = _lattice_g(spec.g, digits, step)
-                elif lane is not None and bits <= _BITS:
-                    if width != _BITS:
-                        digits = None
-                        width, digits = _BITS, _lattice_digits(block, _BITS, _BITS)
-                    s = spec.g.sample(_lane_arguments(digits, lane))
-                else:
-                    width, digits = None, None   # no split lives through a general reduction
-                    s = spec.g.sample(reduced_arguments(spec, n, block))
-                for row, c in terms:
-                    np.multiply(s, c, out=prod)
-                    row[start:stop] += prod
-
-    workers = min(_WORKER_THREADS.get(), xs.size // _MIN_CHUNK)
-    if workers <= 1:
-        run(0, xs.size)
-    else:
-        bounds = [i * xs.size // workers for i in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, bounds[:-1], bounds[1:]))
+    _level_pass(spec, xs, [n for n, level in terms.items() if level], add)
     return rows
 
 

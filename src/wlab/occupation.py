@@ -18,8 +18,8 @@ import numpy as np
 from .fn_core import (
     FunctionSpec,
     GraphSample,
+    _level_pass,
     fit_line,
-    reduced_levels,
     write_rows,
 )
 from .rng import substream
@@ -270,19 +270,24 @@ class SincFactors:
 def increment_half_widths(spec: FunctionSpec, x, y, order: int) -> np.ndarray:
     """a^n (g(b_n x + th_n) - g(b_n y + th_n)) for n < order, shape x.shape + (order,).
 
-    x and y are scalars or arrays of one shape, reduced together level by
-    level (fn_core.reduced_levels).
+    x and y are scalars or arrays of one shape.  They are laid out
+    interleaved (x0, y0, x1, y1, ...) and walked in one fn_core._level_pass,
+    so every block holds whole pairs and the pass's memory does not grow
+    with the pair count.  A level constant on a block gives 0.0 there.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"x and y must have one shape, got {x.shape} and {y.shape}")
-    k = x.size
-    xy = np.concatenate([x.ravel(), y.ravel()])
-    out = np.empty((k, order), dtype=np.float64)
-    for n, t in enumerate(reduced_levels(spec, xy, order)):
-        g = spec.g.sample(t)
-        out[:, n] = spec.a ** n * (g[:k] - g[k:])
+    xy = np.empty(x.shape + (2,))
+    xy[..., 0] = x
+    xy[..., 1] = y
+    out = np.empty((x.size, order), dtype=np.float64)
+
+    def half_width(start: int, stop: int, n: int, s) -> None:
+        out[start // 2:stop // 2, n] = spec.a ** n * (s[0::2] - s[1::2]) if np.ndim(s) else 0.0
+
+    _level_pass(spec, xy.reshape(-1), list(range(order)), half_width)
     return out.reshape(x.shape + (order,))
 
 

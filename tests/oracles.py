@@ -241,3 +241,20 @@ def identity_char_function(u):
     if u == 0:
         return 1.0 + 0.0j
     return (np.exp(1j * u) - 1.0) / (1j * u)
+
+
+def half_widths_levels(spec, x, y, order):
+    """a^n (g(b_n x + theta_n) - g(b_n y + theta_n)) for n < order, shape (x.size, order).
+
+    x and y are reduced together over the whole arrays at once, one
+    reduction call per level: the unblocked, single-threaded form of
+    occupation.increment_half_widths, which must match it bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    k = x.size
+    xy = np.concatenate([x, np.asarray(y, dtype=np.float64).ravel()])
+    out = np.empty((k, order))
+    for n in range(order):
+        g = spec.g.sample(fn_core.reduced_arguments(spec, n, xy))
+        out[:, n] = spec.a ** n * (g[:k] - g[k:])
+    return out

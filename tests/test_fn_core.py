@@ -552,14 +552,14 @@ def test_constant_levels_keep_the_bits_of_whole_array_levels(freq, phases, block
         assert np.array_equal(s.ys.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("b, order, per_block", [(2.0, 96, 0), (3.0, 96, 0), (2.5, 24, 23)])
+@pytest.mark.parametrize("b, order, per_block", [(2.0, 96, 0), (3.0, 96, 0), (2.5, 24, 0)])
 def test_constant_levels_skip_the_block_reduction(monkeypatch, b, order, per_block):
     # x = j / 2^17: for b = 2 the levels n >= 17 are constant on every block,
     # levels 2..16 look g up on the 2^-15 lattice and levels 0 and 1 take
     # the lane, so no level reduces a block; for b = 3 every level takes the
-    # lane; for b = 2.5 only level 0 (b_0 = 1) does, and each block of more
-    # than one point is reduced exactly once at every other level (order
-    # 24 keeps the case quick)
+    # lane; for b = 2.5 = 5 / 2 the reduced arguments of level n lie on
+    # 2^-(17 + n), so levels n <= 46 take the lane (order 24 keeps the case
+    # quick)
     spec = build_spec(0.8, geometric(b))
     draw = draw_coefficients(spec, 1, order)
     xs = np.linspace(0.0, 1.0, (1 << 17) + 1)
@@ -633,7 +633,7 @@ def test_lattice_lookup_keeps_the_bits_of_the_reduction(freq, phases, g, kind, p
     spec = build_spec(0.8, freq, phases=phases, g=g)
     xs = _lattice_xs(kind, p, np.random.default_rng(seed))
     bits = fn_core._fraction_bits(xs)
-    digits = fn_core._lattice_digits(xs, bits, 15)
+    digits = fn_core._lattice_digits(xs, bits, 63)
     max_order = freq.max_order or bits + 3
     for n in sorted(set(range(24)) | set(range(max(0, bits - 20), bits + 3))):
         if n >= max_order:
@@ -870,34 +870,41 @@ def _lane_xs(kind, p, seed):
          seed=2)
 @example(freq=geometric(2.5), phases=[2.0 ** -63], g=COS, kind="philox", p=0, threads=1, seed=3)
 def test_lane_levels_keep_the_bits_of_the_reduction(freq, phases, g, kind, p, threads, seed):
-    # a level takes the lane exactly where b_n is an integer, theta_n has at
-    # most 63 fraction digits and so has every x, and there it must give the
-    # bits of reduced_arguments; every other level is one reduced_arguments
-    # call (a Fraction check of which is which)
+    # with p the most fraction digits of any x, a level is constant where 2^p
+    # divides b_n, takes the table or the lane where every reduced argument
+    # lies on 2^-63, and is one reduced_arguments call on the block
+    # otherwise (a Fraction check of which is which); every level must give
+    # the bits of g at reduced_arguments
     spec = build_spec(0.8, freq, phases=phases, g=g)
     xs = _lane_xs(kind, p, seed)
-    split = fn_core._fraction_bits(xs) <= 63
-    assert split == (kind != "fine")
+    bits = fn_core._fraction_bits(xs)
+    assert (bits <= 63) == (kind != "fine")
+    assert bits == max((Fraction(x).denominator.bit_length() - 1 for x in xs), default=0)
     order = freq.max_order or 96
-    reduce, general = fn_core.reduced_arguments, []
+    reduce, general, levels = fn_core.reduced_arguments, [], {}
 
     def counted(spec, n, xs):
-        general.append(n)
+        if np.size(xs) > 1:   # not the one-point phase reduction of a constant level
+            general.append(n)
         return reduce(spec, n, xs)
+
+    def keep(start, stop, n, s):
+        levels[n] = np.broadcast_to(s, (stop - start,))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fn_core, "reduced_arguments", counted)
-        levels = list(fn_core.reduced_levels(spec, xs, order))
-    lanes = []
+        fn_core._level_pass(spec, xs, list(range(order)), keep)
+    want_general = []
     for n in range(order):
         b_n, theta_n = Fraction(freq.value(n)), Fraction(spec.phase(n))
-        lane = b_n.denominator == 1 and (theta_n * 2 ** 63).denominator == 1
-        assert (fn_core._lattice_step(*fn_core._ratios(spec, n), 63, 63) is not None) == lane, n
-        if lane and split:
-            lanes.append(n)
-        want = reduce(spec, n, xs)
+        constant = (b_n / 2 ** bits).denominator == 1
+        lattice = ((b_n * Fraction(2) ** (63 - bits)).denominator == 1
+                   and (theta_n * 2 ** 63).denominator == 1)
+        if not constant and not lattice:
+            want_general.append(n)
+        want = g.sample(reduce(spec, n, xs))
         assert np.array_equal(levels[n].view(np.uint64), want.view(np.uint64)), n
-    assert general == [n for n in range(order) if n not in lanes]
+    assert general == want_general
     # and through the kernel, on up to three threads of at least 4 points
     draw = draw_coefficients(spec, seed, order)
     with pytest.MonkeyPatch.context() as patch, worker_threads(threads):

@@ -1,16 +1,23 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wlab import fn_core
 from wlab.fn_core import (
+    COS,
+    COS_PLUS_HALF,
     GraphSample,
     build_spec,
     draw_coefficients,
+    effective_order,
     geometric,
     sample_graph,
+    worker_threads,
 )
 from wlab.occupation import (
     AliasingError,
@@ -361,6 +368,66 @@ def test_increment_half_widths_arrays_match_scalar_calls():
     assert increment_half_widths(spec, xs.reshape(4, 5), ys.reshape(4, 5), 30).shape == (4, 5, 30)
     with pytest.raises(ValueError):
         increment_half_widths(spec, xs, ys[:3], 30)
+
+
+def _pair_group(kind, p, count, rng):
+    # x and y of count pairs: both on j / 2^p, Philox doubles, or on j / 2^p
+    # with one x = 1e-5 (69 fraction digits) or one nan among them
+    if kind == "philox":
+        return np.random.Generator(np.random.Philox(int(rng.integers(1 << 32)))).random((2, count))
+    xy = rng.integers(0, 1 << min(p, 53), (2, count)) * 2.0 ** -p
+    if kind == "fine":
+        xy[rng.integers(2), rng.integers(count)] = 1e-5
+    if kind == "nan":
+        xy[rng.integers(2), rng.integers(count)] = np.nan
+    return xy
+
+
+@given(freq=st.sampled_from([geometric(b) for b in (2, 3, 2.5, 4)]),
+       phases=st.lists(st.sampled_from([0.0, 0.375, -5.5, 0.1, 2.0 ** -70]), max_size=4),
+       g=st.sampled_from([COS, COS_PLUS_HALF]),
+       groups=st.lists(st.tuples(st.sampled_from(["grid", "philox", "fine", "nan"]),
+                                 st.integers(0, 60), st.integers(1, 11)),
+                       min_size=1, max_size=5),
+       threads=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+@example(freq=geometric(2.0), phases=[0.375], g=COS, groups=[("grid", 3, 5), ("philox", 0, 6)],
+         threads=3, seed=1)
+@example(freq=geometric(2.5), phases=[2.0 ** -70], g=COS_PLUS_HALF,
+         groups=[("grid", 17, 7), ("fine", 20, 4), ("nan", 2, 3)], threads=2, seed=2)
+def test_increment_half_widths_match_whole_array_levels(freq, phases, g, groups, threads, seed):
+    # blocks of 8 pairs and threads from 3 pairs each, so a group of pairs
+    # straddles block and chunk bounds, and its blocks run constant, table,
+    # lane and general levels; the half-widths must have the bits of one
+    # reduction per level over the whole arrays
+    spec = build_spec(0.8, freq, phases=phases, g=g)
+    rng = np.random.default_rng(seed)
+    x, y = np.concatenate([_pair_group(kind, p, count, rng) for kind, p, count in groups], axis=1)
+    order = effective_order(spec, 1e-3)
+    with pytest.MonkeyPatch.context() as patch, worker_threads(threads), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch.setattr(fn_core, "_BLOCK", 16)
+        patch.setattr(fn_core, "_MIN_CHUNK", 6)
+        got = increment_half_widths(spec, x, y, order)
+    want = oracles.half_widths_levels(spec, x, y, order)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_increment_half_widths_memory_does_not_grow_with_the_pairs():
+    # beside its (pairs, order) output, the pass holds the interleaved pairs
+    # (16 bytes a pair) and a few blocks of 2^15 doubles, not a (pairs,
+    # order) array of its own
+    spec = build_spec(0.5, geometric(3.0))
+    x, y = np.random.Generator(np.random.Philox(1)).random((2, 1 << 18))
+    tracemalloc.start()
+    try:
+        hw = increment_half_widths(spec, x, y, 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - hw.nbytes <= 16 * x.size + 8 * (1 << 15) * 8, (peak - hw.nbytes) / x.size
 
 
 def test_pair_bound_matches_sinc_product_loop():
