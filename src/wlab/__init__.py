@@ -36,7 +36,6 @@ from .covering import (
     first_hit_sets,
     intersection_sequence,
     near_level_set,
-    oscillation_level_set,
     shrink_rate_bound,
 )
 from .dimension import (

@@ -163,13 +163,14 @@ def near_level_set(g: BaseFunction, epsilon: float, resolution: int,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
+    plain_cos = g.terms == ((1, 1.0),)
     if method == "auto":
-        method = "factorized" if g.kind == "cos" else "generic"
+        method = "factorized" if plain_cos else "generic"
     centers = cell_centers(resolution)
     if method == "generic":
         marked = ~_far_mask(g.sample(centers), epsilon)
     elif method == "factorized":
-        if g.kind != "cos":
+        if not plain_cos:
             raise ValueError("factorized path applies to the plain cosine only")
         # 2|s_i - s_j| == |2 s_i - 2 s_j| exactly: scaling by 2 commutes with rounding.
         marked = ~_far_mask(2.0 * np.sin(math.pi * centers) ** 2, epsilon)
@@ -181,28 +182,6 @@ def near_level_set(g: BaseFunction, epsilon: float, resolution: int,
 def _level_values(spec: FunctionSpec, n: int, centers: np.ndarray) -> np.ndarray:
     """g at level n's reduced arguments of the cell centres."""
     return spec.g.sample(reduced_arguments(spec, n, centers))
-
-
-def _oscillation_rows(spec: FunctionSpec, n: int, epsilon: float,
-                      centers: np.ndarray) -> tuple[np.ndarray, int]:
-    """The distinct rows of level n's oscillation set and their period p: row i of the set is rows[i % p]."""
-    v = _level_values(spec, n, centers)
-    p = _period(v)
-    return _far_mask(v, epsilon, p), p
-
-
-def oscillation_level_set(spec: FunctionSpec, n: int, epsilon: float,
-                          resolution: int) -> GridSet:
-    """Center-test grid set {(x, y): |g(b_n x + th_n) - g(b_n y + th_n)| >= epsilon}.
-
-    Only the level's distinct rows are tested: with p the period of g at
-    the reduced cell centres, read off the values, row i is row i mod p,
-    whose centre has the same g value and so the same bits.
-    """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    rows, p = _oscillation_rows(spec, n, epsilon, cell_centers(resolution))
-    return GridSet(rows[np.arange(resolution) % p])
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +448,14 @@ def first_hit_sets(spec: FunctionSpec, epsilon: float, n_max: int,
     Levels oscillating faster than the grid can resolve are dropped and the
     effective cap reported in the result.  While more than an eighth of the
     cells lack a second hit, a level updates the whole square, testing only
-    its distinct rows as oscillation_level_set does: row i is row i mod p,
-    p the period of g at the level's reduced cell centres, read off the
-    values.  Later levels test only the open cells, kept as a list of flat
-    indices that drops each cell once it is paired: cell (i, j) is hit when
-    |v[i] - v[j]| >= epsilon, v being g at the reduced centres, the very
-    subtraction of the row test since v[i] == v[i mod p].  Either way the
-    maps have the bits of a test of every cell.  Pairs are counted as they
-    are found.
+    its distinct rows: row i is row i mod p, p the period of g at the
+    level's reduced cell centres, read off the values, whose centre has the
+    same g value and so the same bits.  Later levels test only the open
+    cells, kept as a list of flat indices that drops each cell once it is
+    paired: cell (i, j) is hit when |v[i] - v[j]| >= epsilon, v being g at
+    the reduced centres, the very subtraction of the row test since
+    v[i] == v[i mod p].  Either way the maps have the bits of a test of
+    every cell.  Pairs are counted as they are found.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -493,7 +472,9 @@ def first_hit_sets(spec: FunctionSpec, epsilon: float, n_max: int,
     mask_buf = np.empty_like(hit_buf)
     n = 0
     while n < k and n_open > _OPEN_SHARE * m * m:
-        hits, p = _oscillation_rows(spec, n, epsilon, centers)
+        v = _level_values(spec, n, centers)
+        p = _period(v)
+        hits = _far_mask(v, epsilon, p)   # the distinct rows: row i of the level is hits[i % p]
         row_of = np.arange(m) % p
         for lo in range(0, m, rows):
             f, o = first[lo:lo + rows], is_open[lo:lo + rows]

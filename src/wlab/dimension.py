@@ -204,8 +204,12 @@ def energy_estimate(spec: FunctionSpec, draw: CoefficientDraw, t: float,
         raise ValueError(f"need >= {_MIN_PAIRS} pairs, got {n_pairs}")
     w = _pair_distances_sq(spec, draw, draw.order, n_pairs, seed, "energy")
     w **= -0.5 * t   # in place, and the same scalar-power paths as **
-    value = float(w.mean())
-    se = float(w.std(ddof=1) / math.sqrt(n_pairs))
+    mean = w.mean()
+    # w.std(ddof=1) with numpy's own ops, in place, so no second n-double array is made
+    w -= mean
+    np.square(w, out=w)
+    se = float(np.sqrt(w.sum() / (n_pairs - 1)) / math.sqrt(n_pairs))
+    value = float(mean)
     return EnergyEstimate(t=t, value=value, std_error=se, n_pairs=n_pairs)
 
 

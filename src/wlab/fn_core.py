@@ -16,6 +16,7 @@ import contextlib
 import contextvars
 import itertools
 import math
+import sys
 import warnings
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -29,9 +30,6 @@ from .rng import substream
 
 TWO_PI = 2.0 * math.pi
 
-# Dense grid used to certify sup|g'| and related constants at import time.
-_CONSTANT_GRID = (1 << 18) + 1
-
 
 # ---------------------------------------------------------------------------
 # base functions
@@ -39,56 +37,67 @@ _CONSTANT_GRID = (1 << 18) + 1
 
 @dataclass(frozen=True)
 class BaseFunction:
-    """1-periodic carrier of every series term, with certified constants.
+    """1-periodic carrier of every series term: g(t) = sum_k alpha_k cos(2 pi k t).
 
-    ``lipschitz`` and ``sup_abs`` are bounds valid on the whole line:
-    |g(x) - g(y)| <= lipschitz * |x - y| and |g(x)| <= sup_abs.
+    terms is ((k, alpha_k), ...) with k strictly increasing positive ints
+    and alpha_k finite and nonzero; kind is the name to_dict writes.
+    sup_abs, derived from the terms, is sum_k |alpha_k| exactly, rounded up
+    to a float, so |g(x)| <= sup_abs on the whole line.
     """
 
     kind: str
-    lipschitz: float
-    sup_abs: float
+    terms: tuple
+    sup_abs: float = field(init=False)
+
+    def __post_init__(self):
+        terms = tuple((k, float(alpha)) for k, alpha in self.terms)
+        if not terms:
+            raise ValueError("a base function needs at least one term")
+        last = 0
+        for k, alpha in terms:
+            if not (isinstance(k, int) and k > last):
+                raise ValueError(f"frequencies k must be strictly increasing positive ints, got {k!r}")
+            if not (math.isfinite(alpha) and alpha != 0.0):
+                raise ValueError(f"coefficient of k = {k} must be finite and nonzero, got {alpha}")
+            last = k
+        total = sum(Fraction(abs(alpha)) for _, alpha in terms)
+        if total > Fraction(sys.float_info.max):
+            raise ValueError("sum of |coefficients| exceeds the largest float")
+        sup = float(total)
+        if sup < total:   # float() rounds to nearest; the bound must not be below the sum
+            sup = math.nextafter(sup, math.inf)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "sup_abs", sup)
 
     def sample(self, t):
         """Evaluate g at reduced arguments t in [0, 1], leaving t as it is.
 
-        g is computed in place on one product array (scalar out for a 0-d
-        t), with the bits of np.cos(TWO_PI * t) for cos and of
-        np.cos(TWO_PI * t) + 0.5 * np.cos(2.0 * TWO_PI * t) for cos2.
+        The terms alpha_k cos((k 2 pi) t) are summed in place in k order
+        (scalar out for a 0-d t): the first is built in the output array,
+        each later one in one shared buffer, and the multiply is skipped
+        where alpha_k = 1.
         """
         t = np.asarray(t, dtype=np.float64)
-        if self.kind not in ("cos", "cos2"):
-            raise ValueError(f"unknown base function kind {self.kind!r}")
-        out = np.multiply(TWO_PI, t, out=np.empty_like(t))
-        np.cos(out, out=out)
-        if self.kind == "cos2":
-            c2 = np.multiply(2.0 * TWO_PI, t, out=np.empty_like(t))
-            np.cos(c2, out=c2)
-            c2 *= 0.5
-            out += c2
+        (k, alpha), *rest = self.terms
+        out = _cos_term(k, alpha, t, np.empty_like(t))
+        if rest:
+            buf = np.empty_like(t)
+            for k, alpha in rest:
+                out += _cos_term(k, alpha, t, buf)
         return out if out.ndim else out[()]
 
 
-def _certified_sup(values: np.ndarray) -> float:
-    # Grid max padded upward so the stored constant is a usable bound.
-    return float(np.max(np.abs(values))) * (1.0 + 1e-6)
+def _cos_term(k: int, alpha: float, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """alpha cos((k 2 pi) t) written into out."""
+    np.multiply(k * TWO_PI, t, out=out)
+    np.cos(out, out=out)
+    if alpha != 1.0:
+        out *= alpha
+    return out
 
 
-def _build_base_function(kind: str) -> BaseFunction:
-    xs = np.linspace(0.0, 1.0, _CONSTANT_GRID)
-    if kind == "cos":
-        deriv = -TWO_PI * np.sin(TWO_PI * xs)
-        sup_abs = 1.0
-    elif kind == "cos2":
-        deriv = -TWO_PI * np.sin(TWO_PI * xs) - TWO_PI * np.sin(2.0 * TWO_PI * xs)
-        sup_abs = 1.5
-    else:
-        raise ValueError(f"unknown base function kind {kind!r}")
-    return BaseFunction(kind=kind, lipschitz=_certified_sup(deriv), sup_abs=sup_abs)
-
-
-COS = _build_base_function("cos")
-COS_PLUS_HALF = _build_base_function("cos2")
+COS = BaseFunction("cos", ((1, 1.0),))
+COS_PLUS_HALF = BaseFunction("cos2", ((1, 1.0), (2, 0.5)))
 BUILTIN_BASE_FUNCTIONS = {"cos": COS, "cos2": COS_PLUS_HALF}
 
 

@@ -29,24 +29,26 @@ def mp_eval_series(spec, values, x, order, dps=None):
             else:
                 bn = mp.mpf(bn)
             arg = bn * mp.mpf(x) + mp.mpf(spec.phase(n))
-            if spec.g.kind == "cos":
-                gval = mp.cos(2 * mp.pi * arg)
-            elif spec.g.kind == "cos2":
-                gval = mp.cos(2 * mp.pi * arg) + mp.mpf("0.5") * mp.cos(4 * mp.pi * arg)
-            else:
-                raise ValueError(spec.g.kind)
+            gval = sum(mp.mpf(alpha) * mp.cos(2 * k * mp.pi * arg) for k, alpha in spec.g.terms)
             total += mp.mpf(values[n]) * gval
         return float(total)
 
 
 def g_reference(g, t):
-    """g at t by the base function's formula, each product and cos a fresh array."""
+    """g at t by the series formula, each product and cos a fresh array, summed in k order."""
     t = np.asarray(t, dtype=np.float64)
-    if g.kind == "cos":
-        return np.cos(fn_core.TWO_PI * t)
-    if g.kind == "cos2":
-        return np.cos(fn_core.TWO_PI * t) + 0.5 * np.cos(2.0 * fn_core.TWO_PI * t)
-    raise ValueError(g.kind)
+    total = None
+    for k, alpha in g.terms:
+        term = alpha * np.cos((k * fn_core.TWO_PI) * t)
+        total = term if total is None else total + term
+    return total
+
+
+def oscillation_bits(spec, n, epsilon, resolution):
+    """|g(b_n x + theta_n) - g(b_n y + theta_n)| >= epsilon at every pair of cell centres, as one m x m test."""
+    centers = (np.arange(resolution) + 0.5) / resolution
+    v = spec.g.sample(fn_core.reduced_arguments(spec, n, centers))
+    return np.abs(v[:, None] - v[None, :]) >= epsilon
 
 
 def evaluate_levels(spec, draw, xs, order):
@@ -111,12 +113,12 @@ def brute_iterated_bits(a_bits, frequencies, phase_pairs, n):
 
 
 def brute_first_hits(level_values, eps):
-    """(hits, first, second) from the whole outer difference of each level.
+    """(first, second) from the whole outer difference of each level.
 
-    level_values[n, i] is g at the level-n argument of cell centre i;
-    hits[n] is |level_values[n, i] - level_values[n, j]| >= eps over every
-    pair, and first and second are the first two levels hitting each cell
-    (-1 where there are fewer).
+    level_values[n, i] is g at the level-n argument of cell centre i; cell
+    (i, j) is hit at n when |level_values[n, i] - level_values[n, j]| >= eps,
+    and first and second are the first two levels hitting each cell (-1
+    where there are fewer).
     """
     k, m = level_values.shape
     hits = np.abs(level_values[:, :, None] - level_values[:, None, :]) >= eps
@@ -125,7 +127,7 @@ def brute_first_hits(level_values, eps):
     for n in range(k):
         second[(first >= 0) & (second < 0) & hits[n]] = n
         first[(first < 0) & hits[n]] = n
-    return hits, first, second
+    return first, second
 
 
 def brute_pair_counts(level_values, eps):

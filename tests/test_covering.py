@@ -20,7 +20,6 @@ from wlab.covering import (
     first_hit_sets,
     intersection_sequence,
     near_level_set,
-    oscillation_level_set,
     shrink_rate_bound,
 )
 from wlab.fn_core import COS, COS_PLUS_HALF, build_spec, geometric, reduced_arguments
@@ -191,7 +190,6 @@ def test_level_set_masks_build_no_float_square():
     # b = 2.5 has no period on the grid, so every row of every level is built
     aperiodic = build_spec(0.8, geometric(2.5), g=COS_PLUS_HALF)
     for build, bound in ((lambda: near_level_set(COS_PLUS_HALF, 0.05, m, method="generic"), 2.5),
-                         (lambda: oscillation_level_set(spec, 3, 0.05, m), 8),
                          (lambda: a.dilate(), 1.5),
                          (lambda: intersection_sequence(a, _spec_08_2(), 6), 1.5),
                          (lambda: intersection_sequence(a, aperiodic, 6), 1.5),
@@ -463,7 +461,7 @@ def test_periodic_levels_keep_the_bits_of_every_cell(b, g, m, on_lattice, eps, s
     centers = cell_centers(m)
     values = np.array([oracles.g_reference(g, oracles.exact_reduced(freqs[n], phases[n], centers))
                        for n in range(k)])
-    hits, first, second = oracles.brute_first_hits(values, eps)
+    first, second = oracles.brute_first_hits(values, eps)
     assert np.array_equal(d.first, first)
     pair_measures = np.zeros((k, k))
     for n0 in range(k):
@@ -480,8 +478,6 @@ def test_periodic_levels_keep_the_bits_of_every_cell(b, g, m, on_lattice, eps, s
     assert d.residual_pair == np.count_nonzero(second < 0) / float(m * m)
     if eps > 2 * g.sup_abs:
         assert d.residual_first == d.residual_pair == 1.0
-    for n in range(k):
-        assert oscillation_level_set(spec, n, eps, m) == GridSet(hits[n])
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +581,10 @@ def test_first_hit_level_zero_is_the_level_set():
     spec = _spec_08_2()
     eps = 1e-9
     d = first_hit_sets(spec, eps, 3, 64)
-    a0 = oscillation_level_set(spec, 0, eps, 64)
-    assert d.sets[0] == a0
+    a0 = oracles.oscillation_bits(spec, 0, eps, 64)
+    assert np.array_equal(d.sets[0].bits, a0)
     for s in d.sets[1:]:
-        assert not np.any(s.bits & a0.bits)
+        assert not np.any(s.bits & a0)
     # only the two symmetry diagonals of the cosine escape level 0 here
     assert d.sets[0].measure() == 1.0 - 2.0 * 64 / 64 ** 2
 

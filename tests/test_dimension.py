@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlab import fn_core
+from wlab import dimension, fn_core
 from wlab.dimension import (
     DensityError,
     _correlation_dimension,
@@ -210,8 +210,9 @@ def test_energy_t_zero_exact():
 
 
 def test_energy_estimate_temporaries():
-    # the pair distances are raised to -t/2 in place, so only numpy's
-    # one-array temporary of the standard error comes on top of them
+    # the pair distances are raised to -t/2 and their standard error taken
+    # in place, so only the pair draw's per-chunk temporaries come on top of
+    # them; numpy's w.std would add a second n-double array
     n = 1 << 20
     spec = build_spec(0.8, geometric(2.0))
     tracemalloc.start()
@@ -220,7 +221,20 @@ def test_energy_estimate_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.2 * 8 * n, peak / (8 * n)
+    assert peak < 8 * n + 10 * 8 * dimension._CHUNK, peak / n
+
+
+@pytest.mark.parametrize("n", [1000, 1001, 4097, 70_000])
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 1.5, 1.9])
+def test_energy_estimate_keeps_the_bits_of_numpy_std(n, t):
+    # value and std_error are w.mean() and w.std(ddof=1) / sqrt(n) of the
+    # whole array of terms w, bit for bit
+    spec = build_spec(0.8, geometric(2.0))
+    draw = draw_coefficients(spec, 4, 12)
+    est = energy_estimate(spec, draw, t, n, seed=n)
+    w = _pair_distances_sq(spec, draw, draw.order, n, n, "energy") ** (-0.5 * t)
+    assert est.value == float(w.mean())
+    assert est.std_error == float(w.std(ddof=1) / math.sqrt(n))
 
 
 def test_energy_flat_closed_form():
@@ -247,8 +261,6 @@ def test_energy_deterministic():
 
 
 def test_pair_redraw_gives_up_loudly(monkeypatch):
-    from wlab import dimension
-
     class Zeros:
         def random(self, k):
             return np.zeros(k)

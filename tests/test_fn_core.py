@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -26,6 +28,7 @@ from wlab.fn_core import (
     worker_threads,
     zero_draw,
 )
+from wlab.rng import substream
 
 import oracles
 
@@ -39,40 +42,109 @@ def _evaluate(spec, draw, x, order):
 # base functions
 # ---------------------------------------------------------------------------
 
+def _assert_sample_keeps_the_bits_of_the_formula(g, t):
+    # g is summed in place: the bits of the formula, for 1-d, 2-d and 0-d
+    # t, and t itself is left as it was
+    before = t.copy()
+    for arg in (t, t[:1000].reshape(10, 100)):
+        got, want = g.sample(arg), oracles.g_reference(g, arg)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(t.view(np.uint64), before.view(np.uint64))
+    for t0 in (0.25, 0.1, np.float64(0.375), np.array(2.0 ** -63)):
+        got, want = g.sample(t0), oracles.g_reference(g, t0)
+        assert np.ndim(got) == 0
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+def _sample_points(seed):
+    return np.concatenate([np.random.default_rng(seed).random(1000),
+                           [0.0, 0.25, 0.5, 1.0 - 2.0 ** -53, 2.0 ** -63, 5e-324]])
+
+
 @pytest.mark.parametrize("g", [COS, COS_PLUS_HALF], ids=["cos", "cos2"])
 class TestBaseFunction:
-    def test_lipschitz_on_grid(self, g):
-        xs = np.linspace(0.0, 1.0, 10_000)
-        vals = g.sample(xs)
-        diffs = np.abs(np.diff(vals))
-        steps = np.diff(xs)
-        assert np.all(diffs <= g.lipschitz * steps + 1e-12)
-
     def test_sup_bound_on_grid(self, g):
         xs = np.linspace(0.0, 1.0, 10_000)
         assert np.all(np.abs(g.sample(xs)) <= g.sup_abs + 1e-12)
 
     def test_sample_keeps_the_bits_of_the_formula(self, g):
-        # g is computed in place on its own product array: the bits of the
-        # formula, for 1-d, 2-d and 0-d t, and t itself is left as it was
-        t = np.concatenate([np.random.default_rng(7).random(1000),
-                            [0.0, 0.25, 0.5, 1.0 - 2.0 ** -53, 2.0 ** -63, 5e-324]])
-        before = t.copy()
-        for arg in (t, t[:1000].reshape(10, 100)):
-            got, want = g.sample(arg), oracles.g_reference(g, arg)
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(t.view(np.uint64), before.view(np.uint64))
-        for t0 in (0.25, 0.1, np.float64(0.375), np.array(2.0 ** -63)):
-            got, want = g.sample(t0), oracles.g_reference(g, t0)
-            assert np.ndim(got) == 0
-            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+        _assert_sample_keeps_the_bits_of_the_formula(g, _sample_points(7))
 
 
-def test_cos2_lipschitz_is_the_true_supremum():
-    # sup|g'| for cos(2 pi x) + 0.5 cos(4 pi x) is ~11.09, well above 2 pi
-    assert COS_PLUS_HALF.lipschitz > 11.0
-    assert COS.lipschitz == pytest.approx(2 * math.pi, rel=1e-5)
+def test_builtin_base_functions_keep_their_terms_and_names():
+    assert COS.terms == ((1, 1.0),) and COS.sup_abs == 1.0
+    assert COS_PLUS_HALF.terms == ((1, 1.0), (2, 0.5)) and COS_PLUS_HALF.sup_abs == 1.5
+    assert fn_core.base_function("cos") is COS and fn_core.base_function("cos2") is COS_PLUS_HALF
+    assert build_spec(0.8, geometric(2.0)).to_dict()["g"] == "cos"
+    assert build_spec(0.8, geometric(2.0), g=COS_PLUS_HALF).to_dict()["g"] == "cos2"
+
+
+def test_sup_abs_rounds_the_exact_sum_up():
+    # fsum gives 1.2 here, below the exact 1 + 0.2000000000000000111
+    g = fn_core.BaseFunction("series", ((1, 1.0), (7, 0.2)))
+    assert g.sup_abs == math.nextafter(1.2, 2.0)
+    assert fn_core.BaseFunction("series", ((3, -0.75), (5, 0.25))).sup_abs == 1.0
+    with pytest.raises(TypeError):
+        fn_core.BaseFunction("cos", ((1, 1.0),), sup_abs=math.inf)
+
+
+@pytest.mark.parametrize("terms, named", [
+    ((), "at least one term"),
+    (((0, 1.0),), "positive ints, got 0"),
+    (((-1, 1.0),), "positive ints, got -1"),
+    (((1.0, 1.0),), "positive ints, got 1.0"),
+    (((2, 1.0), (1, 0.5)), "strictly increasing positive ints, got 1"),
+    (((1, 1.0), (1, 0.5)), "strictly increasing positive ints, got 1"),
+    (((1, 0.0),), "finite and nonzero, got 0.0"),
+    (((1, 1.0), (2, -0.0)), "k = 2 must be finite and nonzero, got -0.0"),
+    (((1, math.inf),), "got inf"),
+    (((1, math.nan),), "got nan"),
+    (((1, sys.float_info.max), (2, 5e-324)), "exceeds the largest float"),
+])
+def test_bad_series_rejected(terms, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        fn_core.BaseFunction("series", terms)
+
+
+# 1 to 4 cosines with k <= 8 and |alpha| <= 2; alpha = 1 takes the multiply-free path
+_SERIES = st.lists(
+    st.tuples(st.integers(1, 8),
+              st.one_of(st.just(1.0), st.floats(-2.0, 2.0).filter(lambda a: a != 0.0))),
+    min_size=1, max_size=4, unique_by=lambda term: term[0],
+).map(lambda terms: fn_core.BaseFunction("series", tuple(sorted(terms))))
+
+
+@given(g=_SERIES, seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_random_series_sample_keeps_the_bits_of_the_formula(g, seed):
+    _assert_sample_keeps_the_bits_of_the_formula(g, _sample_points(seed))
+
+
+@given(g=_SERIES)
+@settings(max_examples=40, deadline=None)
+def test_random_series_stay_within_sup_abs(g):
+    # sup_abs is the least float not below the exact sum of |alpha|; the
+    # float sum of up to 4 terms may round a few ulps past the exact g
+    exact = sum(Fraction(abs(alpha)) for _, alpha in g.terms)
+    assert Fraction(g.sup_abs) >= exact > Fraction(math.nextafter(g.sup_abs, 0.0))
+    xs = np.linspace(0.0, 1.0, 1 << 14)
+    assert np.all(np.abs(g.sample(xs)) <= g.sup_abs + 4 * math.ulp(g.sup_abs))
+
+
+@given(g=_SERIES, b=st.sampled_from([2.0, 2.5]), phased=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_random_series_evaluate_like_the_mpmath_oracle(g, b, phased, seed):
+    # j / 256 takes the table (and for b = 2 the constant) levels, Philox x
+    # the lane, and for b = 2.5 the general levels past level 10
+    spec = build_spec(0.8, geometric(b), phases=(0.25, 0.5, 0.125) if phased else (), g=g)
+    order = 30
+    draw = draw_coefficients(spec, seed, order)
+    for xs in (np.arange(0, 257, 17) / 256.0, substream(seed, "series-x").random(8)):
+        got = evaluate_many(spec, draw, xs, order)
+        want = [oracles.mp_eval_series(spec, draw.values, x, order) for x in xs]
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_unknown_base_function_rejected():

@@ -31,7 +31,6 @@ from wlab.occupation import (
     parseval_check,
     sinc_product,
 )
-from wlab.covering import oscillation_level_set
 from wlab.rng import substream
 
 import oracles
@@ -326,7 +325,7 @@ def test_pair_bound_trivial_when_scales_large():
 
 def _level_set_pairs(spec, eps, k):
     # centres of k marked cells of the level-0 and level-1 intersection, drawn with replacement
-    inter = oscillation_level_set(spec, 0, eps, 512).bits & oscillation_level_set(spec, 1, eps, 512).bits
+    inter = oracles.oscillation_bits(spec, 0, eps, 512) & oracles.oscillation_bits(spec, 1, eps, 512)
     ix, iy = np.nonzero(inter)
     pick = substream(5, "pairs").integers(0, len(ix), size=k)
     return (ix[pick] + 0.5) / 512.0, (iy[pick] + 0.5) / 512.0

@@ -20,8 +20,11 @@ both on b = 2, whose levels repeat every m / 2^n rows, and for b = 3 at
 m = 1458, whose g values at the rounded cell centres do not repeat, so
 every row of every level is tested; each writes its pair measures to
 ``<case>.csv`` and the bytes of its whole m x m first-hit map, int16
-little-endian in row-major order, to ``<case>.first.i16``; and a
-characteristic-function profile).  Prints one ``sha256 path`` line per
+little-endian in row-major order, to ``<case>.first.i16``; a
+characteristic-function profile; and the sample_graph CSV of the base
+function cos + 0.2 cos(7 .), which no CLI option names, on j / 256 for
+b = 2.5 with phases on the 2^-15 lattice, so that its levels 0-7 look
+it up in its own table).  Prints one ``sha256 path`` line per
 artifact, paths relative to that directory, so two source trees can be
 compared with ``diff``.  Run it from a checkout's root:
 
@@ -108,6 +111,10 @@ def library_writers(out: Path) -> None:
     order = fn_core.truncation_order(spec, fn_core.default_tolerance(spec))
     sample = fn_core.sample_graph(spec, fn_core.draw_coefficients(spec, 3, order), 1 << 15)
     occupation.char_function_profile(sample, du=0.5, u_max=64.0).write_csv(out / "profile.csv")
+    g7 = fn_core.BaseFunction("cos+0.2cos7", ((1, 1.0), (7, 0.2)))
+    series = fn_core.build_spec(0.8, fn_core.geometric(2.5), phases=[0.25, 0.5, 0.125], g=g7)
+    order = fn_core.effective_order(series)
+    fn_core.sample_graph(series, fn_core.draw_coefficients(series, 1, order), 257).write_csv(out / "gen_g7.csv")
 
 
 def main() -> None:
