@@ -44,9 +44,16 @@ _OPEN_CHUNK = _MASK_BLOCK // 2
 
 @dataclass
 class GridSet:
-    """Boolean mask over the unit square; bits[i, j] covers x-cell i, y-cell j."""
+    """Boolean mask over the unit square; bits[i, j] covers x-cell i, y-cell j.
+
+    ``symmetric`` is derived, never passed: only the constructors whose bits
+    equal their transpose set it (near_level_set, dilate of a symmetric set,
+    intersection_sequence levels of one, FirstHitDecomposition.sets), and
+    write_pbm then flips the rows with no transpose.
+    """
 
     bits: np.ndarray
+    symmetric: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=bool)
@@ -91,7 +98,7 @@ class GridSet:
             blk[:, 0] |= saved[:, -1]
             blk[:, :-1] |= saved[:, 1:]
             blk[:, -1] |= saved[:, 0]
-        return GridSet(out)
+        return _grid_set(out, self.symmetric)
 
     def contains_within(self, other: "GridSet") -> bool:
         """True when every cell of self lies within one cell of other."""
@@ -101,35 +108,62 @@ class GridSet:
         """Plain PBM (P1); rows are y top-to-bottom for visual inspection."""
         m = self.resolution
         rows = np.full((m, m + 1), ord("\n"), dtype=np.uint8)
-        # rows[r, c] = bits[c, m - 1 - r]: row 0 = top of the square
-        flipped = self.bits[:, ::-1]
-        t = _PBM_TILE
-        for r in range(0, m, t):
-            for c in range(0, m, t):
-                rows[r:r + t, c:min(c + t, m)] = flipped[c:c + t, r:r + t].T
-        rows[:, :m] += ord("0")
+        # rows[r, c] = bits[c, m - 1 - r]: row 0 = top of the square; for a
+        # symmetric set that is bits[m - 1 - r, c], a row flip
+        if self.symmetric:
+            np.add(self.bits[::-1], np.uint8(ord("0")), out=rows[:, :m])
+        else:
+            flipped = self.bits[:, ::-1]
+            t = _PBM_TILE
+            for r in range(0, m, t):
+                for c in range(0, m, t):
+                    rows[r:r + t, c:min(c + t, m)] = flipped[c:c + t, r:r + t].T
+            rows[:, :m] += ord("0")
         with open(path, "wb") as fh:
             fh.write(f"P1\n{m} {m}\n".encode())
             fh.write(rows.data)
+
+
+def _grid_set(bits: np.ndarray, symmetric: bool) -> GridSet:
+    """A GridSet of bits whose symmetry its constructor vouches for."""
+    s = GridSet(bits)
+    s.symmetric = symmetric
+    return s
 
 
 def cell_centers(resolution: int) -> np.ndarray:
     return (np.arange(resolution, dtype=np.float64) + 0.5) / float(resolution)
 
 
-def _far_mask(v: np.ndarray, epsilon: float, n_rows: int | None = None) -> np.ndarray:
-    """Bool mask |v_i - v_j| >= epsilon, rows i < n_rows (default all), built a block of rows at a time."""
+def _far_mask(v: np.ndarray, epsilon: float) -> np.ndarray:
+    """Bool mask |v_i - v_j| >= epsilon, built a block of rows at a time.
+
+    Symmetric bit for bit: v_j - v_i is exactly -(v_i - v_j).
+    """
     m = v.size
-    n_rows = m if n_rows is None else n_rows
     rows = max(1, _MASK_BLOCK // m)
-    buf = np.empty((min(rows, n_rows), m), dtype=np.float64)
-    out = np.empty((n_rows, m), dtype=bool)
-    for lo in range(0, n_rows, rows):
-        hi = min(lo + rows, n_rows)
+    buf = np.empty((min(rows, m), m), dtype=np.float64)
+    out = np.empty((m, m), dtype=bool)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
         blk = buf[:hi - lo]
         np.subtract(v[lo:hi, None], v[None, :], out=blk)
         np.abs(blk, out=blk)
         np.greater_equal(blk, epsilon, out=out[lo:hi])
+    return out
+
+
+def _tiled_rows(blk: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """blk's rows repeated across buf's width: column c of row i is blk[i, c mod p], p = blk.shape[1].
+
+    blk itself when p is the width already, else the first len(blk) rows of buf.
+    """
+    n, p = blk.shape
+    m = buf.shape[1]
+    if p == m:
+        return blk
+    out = buf[:n]
+    out.reshape(n, m // p, p)[...] = blk[:, None, :]
     return out
 
 
@@ -168,15 +202,16 @@ def near_level_set(g: BaseFunction, epsilon: float, resolution: int,
         method = "factorized" if plain_cos else "generic"
     centers = cell_centers(resolution)
     if method == "generic":
-        marked = ~_far_mask(g.sample(centers), epsilon)
+        marked = _far_mask(g.sample(centers), epsilon)
     elif method == "factorized":
         if not plain_cos:
             raise ValueError("factorized path applies to the plain cosine only")
         # 2|s_i - s_j| == |2 s_i - 2 s_j| exactly: scaling by 2 commutes with rounding.
-        marked = ~_far_mask(2.0 * np.sin(math.pi * centers) ** 2, epsilon)
+        marked = _far_mask(2.0 * np.sin(math.pi * centers) ** 2, epsilon)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return GridSet(marked).dilate()
+    np.logical_not(marked, out=marked)
+    return _grid_set(marked, True).dilate()
 
 
 def _level_values(spec: FunctionSpec, n: int, centers: np.ndarray) -> np.ndarray:
@@ -258,9 +293,10 @@ def intersection_sequence(a: GridSet, spec: FunctionSpec, n_max: int, on_level=N
     translation-periodized extension of A.  Built for n = 0..n_max, capped
     to usable levels, in place in one bitmap: consecutive sets are nested by
     construction, so the measures are nonincreasing.  Level j's membership
-    index has a period p dividing m, read off the index itself, so only its
-    p distinct rows are gathered and each is ANDed into the m / p rows that
-    repeat it, with the same bits as a gather of every row.
+    index has a period p dividing m, read off the index itself, so the level
+    is its p x p block tiled: only the p distinct rows are gathered, each at
+    its p distinct columns, tiled across the row and ANDed into the m / p
+    rows that repeat it, with the same bits as a gather of every cell.
 
     ``on_level(n, s)``, if given, is called once per level in order
     n = 0..n_effective.  The GridSet it receives is overwritten by the next
@@ -270,9 +306,10 @@ def intersection_sequence(a: GridSet, spec: FunctionSpec, n_max: int, on_level=N
     m = a.resolution
     n_eff = _level_cap(spec, n_max, m)
     centers = cell_centers(m)
-    level = GridSet(a.bits.copy())
+    level = _grid_set(a.bits.copy(), a.symmetric)   # one index map on both axes keeps the symmetry
     bits = level.bits
     rows = max(1, _MASK_BLOCK // m)
+    row_buf = np.empty((min(rows, m), m), dtype=bool)
     measures = []
     for j in range(n_eff + 1):
         if j:
@@ -281,8 +318,8 @@ def intersection_sequence(a: GridSet, spec: FunctionSpec, n_max: int, on_level=N
             tiles = bits.reshape(m // p, p, m)   # tiles[t, r] is row t p + r, whose index is idx[r]
             assert np.shares_memory(tiles, bits)
             for lo in range(0, p, rows):
-                blk = np.take(a.bits, idx[lo:min(lo + rows, p)], axis=0)
-                tiles[:, lo:lo + rows] &= np.take(blk, idx, axis=1)
+                blk = np.take(np.take(a.bits, idx[lo:min(lo + rows, p)], axis=0), idx[:p], axis=1)
+                tiles[:, lo:lo + rows] &= _tiled_rows(blk, row_buf)
         measures.append(level.measure())
         if on_level is not None:
             on_level(j, level)
@@ -398,7 +435,7 @@ class FirstHitDecomposition:
 
     @functools.cached_property
     def sets(self) -> list:
-        return [GridSet(self.first == n) for n in range(self.n_max_effective + 1)]
+        return [_grid_set(self.first == n, True) for n in range(self.n_max_effective + 1)]
 
     def increments(self) -> list:
         return [b - a for a, b in zip(self.partial_sums, self.partial_sums[1:])]
@@ -448,15 +485,21 @@ def first_hit_sets(spec: FunctionSpec, epsilon: float, n_max: int,
     Levels oscillating faster than the grid can resolve are dropped and the
     effective cap reported in the result.  While more than an eighth of the
     cells lack a second hit, a level updates the whole square, testing only
-    its distinct rows: row i is row i mod p, p the period of g at the
-    level's reduced cell centres, read off the values, whose centre has the
-    same g value and so the same bits.  Later levels test only the open
+    its p x p block of distinct cells: cell (i, j) is cell (i mod p, j mod p),
+    p the period of g at the level's reduced cell centres, read off the
+    values, whose centres have the same g values and so the same bits.
+    Level 0 pairs nothing, so its hits are copied straight into the
+    first-hit map.  Later levels test only the open
     cells, kept as a list of flat indices that drops each cell once it is
     paired: cell (i, j) is hit when |v[i] - v[j]| >= epsilon, v being g at
     the reduced centres, the very subtraction of the row test since
     v[i] == v[i mod p].  Either way the maps have the bits of a test of
     every cell.  Pairs are counted as they are found.
     """
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     m = resolution
@@ -474,22 +517,27 @@ def first_hit_sets(spec: FunctionSpec, epsilon: float, n_max: int,
     while n < k and n_open > _OPEN_SHARE * m * m:
         v = _level_values(spec, n, centers)
         p = _period(v)
-        hits = _far_mask(v, epsilon, p)   # the distinct rows: row i of the level is hits[i % p]
-        row_of = np.arange(m) % p
-        for lo in range(0, m, rows):
-            f, o = first[lo:lo + rows], is_open[lo:lo + rows]
-            hit, mask = hit_buf[:f.shape[0]], mask_buf[:f.shape[0]]
-            np.take(hits, row_of[lo:lo + rows], axis=0, out=hit)
-            # The open cells hit here split into those with f >= 0, paired
-            # at n, and those with f < 0, whose first hit is n.
-            np.logical_and(o, hit, out=mask)
-            np.greater_equal(f, 0, out=hit)
-            hit &= mask
-            n_open -= _add_pairs(counts, n, f, hit)
-            o ^= hit
-            mask ^= hit
-            np.copyto(f, n, where=mask)
-            n_unhit -= np.count_nonzero(mask)
+        hits = _far_mask(v[:p], epsilon)   # the level is this p x p block, tiled
+        if n == 0:
+            # Nothing is hit before level 0, so its hits are first hits and pair nothing.
+            np.copyto(first.reshape(m // p, p, m // p, p), 0, where=hits[:, None, :])
+            n_unhit -= np.count_nonzero(hits) * (m // p) ** 2
+        else:
+            row_of = np.arange(m) % p
+            for lo in range(0, m, rows):
+                f, o = first[lo:lo + rows], is_open[lo:lo + rows]
+                mask = mask_buf[:f.shape[0]]
+                hit = _tiled_rows(np.take(hits, row_of[lo:lo + rows], axis=0), hit_buf)
+                # The open cells hit here split into those with f >= 0, paired
+                # at n, and those with f < 0, whose first hit is n.
+                np.logical_and(o, hit, out=mask)
+                np.greater_equal(f, 0, out=hit)
+                hit &= mask
+                n_open -= _add_pairs(counts, n, f, hit)
+                o ^= hit
+                mask ^= hit
+                np.copyto(f, n, where=mask)
+                n_unhit -= np.count_nonzero(mask)
         del hits   # before the next level's rows are built
         n += 1
 

@@ -165,15 +165,19 @@ _MIN_PAIRS = 1000
 
 def _pair_distances_sq(spec: FunctionSpec, draw: CoefficientDraw, order: int,
                        n_pairs: int, seed: int, label: str) -> np.ndarray:
-    """(x-y)^2 + (f(x)-f(y))^2 for i.i.d. uniform pairs; x == y redrawn."""
+    """(x-y)^2 + (f(x)-f(y))^2 for i.i.d. uniform pairs; x == y redrawn.
+
+    A chunk's x and y are the two halves of one draw of 2k, the stream of
+    two draws of k, and its distances are built in place in the output.
+    """
     out = np.empty(n_pairs, dtype=np.float64)
     done = 0
     chunk_idx = 0
     while done < n_pairs:
         k = min(_CHUNK, n_pairs - done)
         gen = substream(seed, label, chunk_idx)
-        x = gen.random(k)
-        y = gen.random(k)
+        xy = gen.random(2 * k)
+        x, y = xy[:k], xy[k:]
         for _ in range(100):
             equal = x == y
             if not equal.any():
@@ -183,8 +187,13 @@ def _pair_distances_sq(spec: FunctionSpec, draw: CoefficientDraw, order: int,
             y[equal] = gen.random(n_eq)
         else:
             raise RuntimeError(f"x == y after 100 redraws in chunk {chunk_idx} of seed {seed}")
-        f = evaluate_many(spec, draw, np.concatenate([x, y]), order)
-        out[done:done + k] = (x - y) ** 2 + (f[:k] - f[k:]) ** 2
+        f = evaluate_many(spec, draw, xy, order)
+        d, df = out[done:done + k], f[:k]
+        np.subtract(x, y, out=d)
+        np.square(d, out=d)
+        np.subtract(df, f[k:], out=df)
+        np.square(df, out=df)
+        d += df
         done += k
         chunk_idx += 1
     return out

@@ -90,6 +90,18 @@ def brute_dilate_bits(bits, steps):
     return out
 
 
+def tiled_pbm_bytes(bits, tile=128):
+    """A plain PBM of bits by the tiled transpose of the writer for sets of any shape: rows[r, c] = bits[c, m - 1 - r]."""
+    m = bits.shape[0]
+    rows = np.full((m, m + 1), ord("\n"), dtype=np.uint8)
+    flipped = bits[:, ::-1]
+    for r in range(0, m, tile):
+        for c in range(0, m, tile):
+            rows[r:r + tile, c:min(c + tile, m)] = flipped[c:c + tile, r:r + tile].T
+    rows[:, :m] += ord("0")
+    return f"P1\n{m} {m}\n".encode() + rows.tobytes()
+
+
 def exact_reduced(frequency, phase, xs):
     """(frequency x + phase) mod 1 for each float x, in Fractions, rounded to float once; 1.0 becomes 0.0."""
     b, t = Fraction(frequency), Fraction(phase)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wlab import covering
 from wlab.covering import (
     CoverParams,
     GridSet,
@@ -480,6 +481,63 @@ def test_periodic_levels_keep_the_bits_of_every_cell(b, g, m, on_lattice, eps, s
         assert d.residual_first == d.residual_pair == 1.0
 
 
+def _written_pbm(s, path):
+    s.write_pbm(path)
+    return path.read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:capping")
+@given(b=st.sampled_from([2.0, 3.0, 4.0, 2.5]),
+       g=st.sampled_from([COS, COS_PLUS_HALF]),
+       m=st.sampled_from([64, 96, 100, 162, 256]),
+       on_lattice=st.booleans(),
+       eps=st.sampled_from([0.05, 0.4]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_sets_marked_symmetric_are_symmetric_and_write_the_tiled_pbm(tmp_path_factory, b, g, m, on_lattice,
+                                                                      eps, seed):
+    # near-level sets, their dilations and intersection levels, and first-hit
+    # sets are marked symmetric, and their PBM, a row flip, has the bytes of
+    # the tiled transpose (cos takes the factorized near-level path, cos2 the
+    # generic one); an unmarked set's dilation and levels stay unmarked
+    path = tmp_path_factory.mktemp("pbm") / "set.pbm"
+
+    def check(s):
+        assert s.symmetric
+        assert np.array_equal(s.bits, s.bits.T)
+        assert _written_pbm(s, path) == oracles.tiled_pbm_bytes(s.bits)
+
+    def check_unmarked(s):
+        assert not s.symmetric
+
+    rng = substream(seed, "symmetric-sets")
+    n_max = 6
+    phases = rng.integers(0, m, n_max + 1) / m if on_lattice else rng.random(n_max + 1)
+    spec = build_spec(0.8, geometric(b), phases=phases, g=g)
+    a = near_level_set(g, eps, m)
+    check(a)
+    check(a.dilate())
+    intersection_sequence(a, spec, n_max, on_level=lambda n, s: check(s))
+    for s in first_hit_sets(spec, eps, n_max, m).sets:
+        check(s)
+    asymmetric = GridSet(rng.random((m, m)) < 0.9)
+    check_unmarked(asymmetric)
+    check_unmarked(asymmetric.dilate())
+    intersection_sequence(asymmetric, spec, n_max, on_level=lambda n, s: check_unmarked(s))
+
+
+def test_symmetric_sets_write_their_pbm_without_the_tile_loop(tmp_path, monkeypatch):
+    # a zero tile side would stop the tile loop at its first range()
+    spec = build_spec(0.8, geometric(2.0), phases=[0.0, 0.25, 0.5], g=COS_PLUS_HALF)
+    sets = [near_level_set(COS, 0.05, 300), near_level_set(COS_PLUS_HALF, 0.05, 300),
+            *first_hit_sets(spec, 0.05, 2, 300).sets]
+    want = [oracles.tiled_pbm_bytes(s.bits) for s in sets]
+    monkeypatch.setattr(covering, "_PBM_TILE", 0)
+    assert [_written_pbm(s, tmp_path / "set.pbm") for s in sets] == want
+    with pytest.raises(ValueError):
+        GridSet(sets[0].bits).write_pbm(tmp_path / "set.pbm")
+
+
 # ---------------------------------------------------------------------------
 # shrink rate
 # ---------------------------------------------------------------------------
@@ -644,6 +702,18 @@ def test_first_hit_caps_and_reports():
         d = first_hit_sets(spec, 0.05, 12, 256)
     assert d.n_max_effective == 6  # 2^6 = 64 = 256/4
     assert len(d.sets) == 7
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+def test_first_hit_rejects_a_non_positive_epsilon(eps):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        first_hit_sets(_spec_08_2(), eps, 3, 64)
+
+
+@pytest.mark.parametrize("resolution", [0, 1])
+def test_first_hit_rejects_a_resolution_below_2(resolution):
+    with pytest.raises(ValueError, match="resolution must be >= 2"):
+        first_hit_sets(_spec_08_2(), 0.05, 3, resolution)
 
 
 def test_first_hit_measures_csv(tmp_path):

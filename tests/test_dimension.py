@@ -212,7 +212,10 @@ def test_energy_t_zero_exact():
 def test_energy_estimate_temporaries():
     # the pair distances are raised to -t/2 and their standard error taken
     # in place, so only the pair draw's per-chunk temporaries come on top of
-    # them; numpy's w.std would add a second n-double array
+    # them; numpy's w.std would add a second n-double array.  A chunk holds
+    # its x, y buffer, f at both halves and evaluate_many's own temporaries
+    # (about 6 chunk arrays); concatenating x and y and building the sum
+    # from fresh squares took about 8
     n = 1 << 20
     spec = build_spec(0.8, geometric(2.0))
     tracemalloc.start()
@@ -221,7 +224,7 @@ def test_energy_estimate_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * n + 10 * 8 * dimension._CHUNK, peak / n
+    assert peak < 8 * n + 7 * 8 * dimension._CHUNK, peak / n
 
 
 @pytest.mark.parametrize("n", [1000, 1001, 4097, 70_000])

@@ -20,7 +20,10 @@ both on b = 2, whose levels repeat every m / 2^n rows, and for b = 3 at
 m = 1458, whose g values at the rounded cell centres do not repeat, so
 every row of every level is tested; each writes its pair measures to
 ``<case>.csv`` and the bytes of its whole m x m first-hit map, int16
-little-endian in row-major order, to ``<case>.first.i16``; a
+little-endian in row-major order, to ``<case>.first.i16``; the phased
+cos2 case also writes the PBM of its first-hit set at level 1 to
+``first_hit_cos2.set1.pbm``, a PBM from a second constructor of sets
+marked symmetric besides the cover's near-level sets and levels; a
 characteristic-function profile; and the sample_graph CSV of the base
 function cos + 0.2 cos(7 .), which no CLI option names, on j / 256 for
 b = 2.5 with phases on the 2^-15 lattice, so that its levels 0-7 look
@@ -93,11 +96,12 @@ def run_cli(args) -> None:
                 raise RuntimeError(f"wlab {' '.join(args)} exited {exc.code}") from None
 
 
-def write_first_hits(spec, n_max: int, resolution: int, path: Path) -> None:
+def write_first_hits(spec, n_max: int, resolution: int, path: Path) -> covering.FirstHitDecomposition:
     """A first-hit decomposition's pair measures (CSV) and its first-hit map (raw little-endian int16)."""
     d = covering.first_hit_sets(spec, 0.05, n_max, resolution)
     d.write_measures_csv(path.with_suffix(".csv"))
     path.with_suffix(".first.i16").write_bytes(d.first.astype("<i2").tobytes())
+    return d
 
 
 def library_writers(out: Path) -> None:
@@ -105,7 +109,7 @@ def library_writers(out: Path) -> None:
     write_first_hits(spec, 6, 512, out / "first_hit")
     phased = fn_core.build_spec(0.8, fn_core.geometric(2.0), phases=[float(t) for t in PHASES.split(",")],
                                 g=fn_core.COS_PLUS_HALF)
-    write_first_hits(phased, 6, 1024, out / "first_hit_cos2")
+    write_first_hits(phased, 6, 1024, out / "first_hit_cos2").sets[1].write_pbm(out / "first_hit_cos2.set1.pbm")
     b3 = fn_core.build_spec(0.8, fn_core.geometric(3.0))
     write_first_hits(b3, 5, 1458, out / "first_hit_b3")
     order = fn_core.truncation_order(spec, fn_core.default_tolerance(spec))
