@@ -58,6 +58,7 @@ from .occupation import (
     adaptive_char_profile,
     char_function_mc,
     char_function_profile,
+    draw_average,
     occupation_histogram,
     pair_product_bound,
     parseval_check,

@@ -39,14 +39,41 @@ class DensityError(ValueError):
 # box counting
 # ---------------------------------------------------------------------------
 
-def _column_ranges(xs: np.ndarray, ys: np.ndarray, eps: float):
-    """Per-column (min y, max y) plus the anchor of the vertical box grid."""
-    y0 = math.floor(float(ys.min()) / eps) * eps
-    cols = np.floor(xs / eps).astype(np.int64)
-    starts = np.r_[0, np.nonzero(np.diff(cols))[0] + 1]
-    mins = np.minimum.reduceat(ys, starts)
-    maxs = np.maximum.reduceat(ys, starts)
-    return y0, mins, maxs
+def _column_starts(xs: np.ndarray, scales, min_points_per_column: int) -> list:
+    """Per scale eps, the index of the first sample in each eps-wide column of xs.
+
+    DensityError unless xs holds at least 2 samples and every eps spans at
+    least min_points_per_column of its largest spacing.
+    """
+    if len(xs) < 2:
+        raise DensityError("need at least 2 samples")
+    h = float(np.max(np.diff(xs)))
+    starts = []
+    for eps in scales:
+        if eps * (1.0 + 1e-9) < min_points_per_column * h:
+            raise DensityError(
+                f"eps {eps:g} below {min_points_per_column} sample spacings ({h:g} each); "
+                "densify the sample or relax min_points_per_column"
+            )
+        cols = np.floor(xs / eps).astype(np.int64)
+        starts.append(np.r_[0, np.nonzero(np.diff(cols))[0] + 1])
+    return starts
+
+
+def _box_counts(ys: np.ndarray, scales, starts) -> list:
+    """Boxes hit at each scale eps by the columns that start at starts (see _column_starts).
+
+    The vertical grid of each scale is anchored at min(ys) floored to eps,
+    and each column needs the boxes from its lowest to its highest value.
+    """
+    ymin = float(ys.min())
+    counts = []
+    for eps, col_starts in zip(scales, starts):
+        y0 = math.floor(ymin / eps) * eps
+        k_lo = np.floor((np.minimum.reduceat(ys, col_starts) - y0) / eps).astype(np.int64)
+        k_hi = np.floor((np.maximum.reduceat(ys, col_starts) - y0) / eps).astype(np.int64)
+        counts.append(int(np.sum(k_hi - k_lo + 1)))
+    return counts
 
 
 def box_count(sample: GraphSample, eps: float, min_points_per_column: int = 8) -> int:
@@ -56,19 +83,24 @@ def box_count(sample: GraphSample, eps: float, min_points_per_column: int = 8) -
     column's oscillation may be unresolved and the count too low; relax the
     parameter only for samples whose per-step movement is known to be small.
     """
-    xs, ys = sample.xs, sample.ys
-    if len(xs) < 2:
-        raise DensityError("need at least 2 samples")
-    h = float(np.max(np.diff(xs)))
-    if eps * (1.0 + 1e-9) < min_points_per_column * h:
-        raise DensityError(
-            f"eps {eps:g} below {min_points_per_column} sample spacings ({h:g} each); "
-            "densify the sample or relax min_points_per_column"
-        )
-    y0, mins, maxs = _column_ranges(xs, ys, eps)
-    k_lo = np.floor((mins - y0) / eps).astype(np.int64)
-    k_hi = np.floor((maxs - y0) / eps).astype(np.int64)
-    return int(np.sum(k_hi - k_lo + 1))
+    starts = _column_starts(sample.xs, [eps], min_points_per_column)
+    return _box_counts(sample.ys, [eps], starts)[0]
+
+
+def _scan_counts(samples, scales) -> list:
+    """[[box_count(s, eps) for eps in scales] for s in samples].
+
+    Samples that share one xs array (as sample_graphs yields them) share
+    its spacing check and column starts, found once for each scale.
+    """
+    xs = starts = None
+    counts = []
+    for sample in samples:
+        if sample.xs is not xs:
+            xs = sample.xs
+            starts = _column_starts(xs, scales, 8)
+        counts.append(_box_counts(sample.ys, scales, starts))
+    return counts
 
 
 @dataclass(frozen=True)
@@ -124,7 +156,7 @@ def box_dimension_scan(spec: FunctionSpec, seeds, scales, m: int | None = None) 
         m = int(round(8 / float(arr[-1]))) + 1
     order = effective_order(spec)
     draws = (draw_coefficients(spec, s, order) for s in seeds)
-    counts = [[box_count(sample, e) for e in arr] for sample in sample_graphs(spec, draws, m)]
+    counts = _scan_counts(sample_graphs(spec, draws, m), arr)
     log_counts = np.log(np.asarray(counts, dtype=np.float64))
     mean_logs = log_counts.mean(axis=0)
     x = -np.log(arr)

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rng import substream
+from .rng import first_doubles
 
 TWO_PI = 2.0 * math.pi
 
@@ -291,12 +291,12 @@ class CoefficientDraw:
 
 
 def draw_coefficients(spec: FunctionSpec, seed: int, order: int) -> CoefficientDraw:
-    """Draw values[n] = a^n (2u_n - 1) with u_n from the (seed, n) substream."""
+    """Draw values[n] = a^n (2u_n - 1) with u_n the first double of the (seed, "coeff", n) substream."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     values = [
-        (spec.a ** n) * (2.0 * substream(seed, "coeff", n).random() - 1.0)
-        for n in range(order)
+        (spec.a ** n) * (2.0 * u - 1.0)
+        for n, u in enumerate(first_doubles(seed, "coeff", order))
     ]
     return CoefficientDraw(seed=int(seed), values=tuple(values))
 
@@ -351,7 +351,7 @@ def tail_bound(spec: FunctionSpec, order: int) -> float:
 
 _BITS = 63  # fraction bits of the uint64 lane
 _MASK = (1 << _BITS) - 1
-_TABLE_BITS = 15   # the table levels' lattice 2^-15, and the 2^15 entries of their g table
+_TABLE_BITS = 17   # the table levels' lattice 2^-17, and the 2^17 entries of their g table
 
 
 def _wide_lane(m, e, b_num: int, k: int, t_num: int, kt: int) -> np.ndarray:
@@ -472,11 +472,15 @@ def _lattice_step(b_ratio: tuple, t_ratio: tuple, bits, width: int) -> tuple | N
 
 @lru_cache(maxsize=None)
 def _g_table(g: BaseFunction) -> np.ndarray:
-    """g at i / 2^15 for i < 2^15: g on every table level of _level_pass (256 KiB).
+    """g at i / 2^17 for i < 2^17: g on every table level of _level_pass (1 MiB).
 
-    Read-only, since every worker thread of every later call shares it.
+    Built on first use from a float arange scaled in place (i / 2^17 is
+    exact), and read-only, since every worker thread of every later call
+    shares it.
     """
-    table = g.sample(np.arange(1 << _TABLE_BITS) * 2.0 ** -_TABLE_BITS)
+    t = np.arange(1 << _TABLE_BITS, dtype=np.float64)
+    t *= 2.0 ** -_TABLE_BITS
+    table = g.sample(t)
     table.flags.writeable = False
     return table
 
@@ -537,7 +541,7 @@ def _level_steps(spec: FunctionSpec, n: int, bits) -> tuple:
 
     kind is "constant", "table", "lane" or "general" (see _level_pass).
     step is g at the reduced phase on a constant level, the level's
-    _lattice_step at width 15 on a table level and at width 63 on a lane
+    _lattice_step at width 17 on a table level and at width 63 on a lane
     level, and None otherwise.  Worked out once per (spec, n, bits), since
     the calls that use it (C8's two-point increment_half_widths calls, say)
     can be many and small.
@@ -571,17 +575,18 @@ def _level_pass(spec: FunctionSpec, xs: np.ndarray, levels: list, consume) -> No
     - constant, where 2^p divides b_n, so b_n x is an integer at every x
       of the block (as for even b from some n on): s is g at the reduced
       phase, computed once per (spec, n, p);
-    - table, where every reduced argument is i / 2^15 for an integer i
-      (max(p - v2(b_n), kt) <= 15 for theta_n = t / 2^kt): i comes from
-      X mod 2^15, and g is looked up in a table of g at i / 2^15, built
-      once per base function;
+    - table, where every reduced argument is i / 2^17 for an integer i
+      (max(p - v2(b_n), kt) <= 17 for theta_n = t / 2^kt): i comes from
+      X mod 2^17, and g is looked up in a table of g at i / 2^17, built
+      once per base function (every level of the grid j / 2^17 for odd
+      integer b and zero phases, levels 36-52 of random doubles for b = 2);
     - lane, where every reduced argument lies on 2^-63
       (max(p - v2(b_n), kt) <= 63): the uint64 lane rule of
       reduced_arguments on X (_lane_arguments), and one g.sample;
     - general: one reduced_arguments call on the block and one g.sample.
 
     The lookup gives the bits of g.sample(reduced_arguments(...)), since
-    the reduced argument is exactly i / 2^15 and g is elementwise, and the
+    the reduced argument is exactly i / 2^17 and g is elementwise, and the
     lane computes the exact reduced argument and rounds it once.  So s has
     the same bits for any thread count and block size.
     """

@@ -326,11 +326,30 @@ def char_function_mc(spec: FunctionSpec, x: float, y: float, u: float,
 
     The imaginary part averages to zero by the symmetry of the coefficient
     law; it is returned as a diagnostic rather than assumed away (a nonzero
-    value beyond noise means an RNG or sign bug).
+    value beyond noise means an RNG or sign bug).  The draws are those of
+    draw_average at the pair's increment half-widths.
     """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    return draw_average(increment_half_widths(spec, x, y, order), u, n_draws, seed)
+
+
+def draw_average(half_widths, u: float, n_draws: int, seed: int) -> DrawAverage:
+    """Average exp(i u sum_n s_n h_n) over n_draws draws of independent s_n ~ U(-1, 1).
+
+    half_widths is the 1-D array (h_0, ..., h_{order-1}) of one pair, as
+    increment_half_widths gives it, so sum_n s_n h_n is f(x) - f(y) under
+    the coefficient law.  The signs come from the (seed, "char_mc", chunk)
+    substreams in chunks of 2^14 draws.
+    """
+    hw = np.asarray(half_widths, dtype=np.float64)
     if n_draws < 1000:
         raise ValueError(f"need >= 1000 draws, got {n_draws}")
-    hw = increment_half_widths(spec, x, y, order)  # f(x)-f(y) = sum s_n hw_n, s_n ~ U(-1,1)
+    if hw.ndim != 1:
+        raise ValueError(f"half_widths must be 1-D, got shape {hw.shape}")
+    order = hw.size
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     cos_sum = 0.0
     cos_sq = 0.0
     sin_sum = 0.0

@@ -22,9 +22,11 @@ from wlab.fn_core import (
     GraphSample,
     build_spec,
     draw_coefficients,
+    effective_order,
     fit_line,
     geometric,
     sample_graph,
+    sample_graphs,
     worker_threads,
     zero_draw,
 )
@@ -105,6 +107,20 @@ def test_box_count_weierstrass_matches_hash_oracle():
     eps = 2.0 ** -7
     ours = box_count(s, eps)
     assert ours == oracles.box_hash_count(s.xs, s.ys, eps) == 17331  # frozen
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 3.0), (0.8, 2.0)])
+def test_scan_counts_equal_box_count_per_sample(a, b):
+    # the scan finds each scale's columns once for draws sharing one xs,
+    # and again for a sample on another grid; every count is box_count's
+    spec = build_spec(a, geometric(b))
+    order = effective_order(spec)
+    scales = 2.0 ** -np.arange(3, 9)
+    draws = [draw_coefficients(spec, s, order) for s in range(3)]
+    samples = list(sample_graphs(spec, draws, 8 * 256 + 1))
+    samples.append(sample_graph(spec, draws[0], 3001))
+    want = [[box_count(s, e) for e in scales] for s in samples]
+    assert dimension._scan_counts(samples, scales) == want
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))

@@ -626,12 +626,11 @@ def test_constant_levels_keep_the_bits_of_whole_array_levels(freq, phases, block
 
 @pytest.mark.parametrize("b, order, per_block", [(2.0, 96, 0), (3.0, 96, 0), (2.5, 24, 0)])
 def test_constant_levels_skip_the_block_reduction(monkeypatch, b, order, per_block):
-    # x = j / 2^17: for b = 2 the levels n >= 17 are constant on every block,
-    # levels 2..16 look g up on the 2^-15 lattice and levels 0 and 1 take
-    # the lane, so no level reduces a block; for b = 3 every level takes the
-    # lane; for b = 2.5 = 5 / 2 the reduced arguments of level n lie on
-    # 2^-(17 + n), so levels n <= 46 take the lane (order 24 keeps the case
-    # quick)
+    # x = j / 2^17: for b = 2 the levels n >= 17 are constant on every block
+    # and levels 0..16 look g up on the 2^-17 lattice, so no level reduces a
+    # block; for b = 3 every level looks g up; for b = 2.5 = 5 / 2 the
+    # reduced arguments of level n lie on 2^-(17 + n), so level 0 looks g up
+    # and levels 1 <= n <= 46 take the lane (order 24 keeps the case quick)
     spec = build_spec(0.8, geometric(b))
     draw = draw_coefficients(spec, 1, order)
     xs = np.linspace(0.0, 1.0, (1 << 17) + 1)
@@ -651,7 +650,7 @@ def test_constant_levels_skip_the_block_reduction(monkeypatch, b, order, per_blo
 
 def test_a_block_holding_a_fine_x_is_reduced_once_per_level(monkeypatch):
     # x = 1e-5 has 69 binary fraction digits, so on b = 3 no level of its
-    # block is constant or on the 2^-15 lattice: each of the 5 levels reduces
+    # block is constant or on the 2^-17 lattice: each of the 5 levels reduces
     # the whole block once.  Without it the block has 2 fraction digits and
     # every level looks g up in the table instead.
     spec = build_spec(0.5, geometric(3.0))
@@ -699,7 +698,7 @@ def _lattice_xs(kind, p, rng):
 @example(freq=geometric(2.5), phases=[0.375, -5.5], g=COS_PLUS_HALF, kind="huge", p=3,
          threads=3, seed=2)
 def test_lattice_lookup_keeps_the_bits_of_the_reduction(freq, phases, g, kind, p, threads, seed):
-    # on every level whose reduced arguments lie on the 2^-15 lattice (a
+    # on every level whose reduced arguments lie on the table's lattice (a
     # Fraction check), the table lookup must give the bits of g at the
     # reduced arguments; negative, subnormal and +-1e308 x included
     spec = build_spec(0.8, freq, phases=phases, g=g)
@@ -711,12 +710,12 @@ def test_lattice_lookup_keeps_the_bits_of_the_reduction(freq, phases, g, kind, p
         if n >= max_order:
             continue
         b_n, theta_n = Fraction(freq.value(n)), Fraction(spec.phase(n))
-        on = ((b_n * Fraction(2) ** (15 - bits)).denominator == 1
-              and (theta_n * 2 ** 15).denominator == 1)
+        on = ((b_n * Fraction(2) ** (fn_core._TABLE_BITS - bits)).denominator == 1
+              and (theta_n * 2 ** fn_core._TABLE_BITS).denominator == 1)
         b_num, b_den = b_n.as_integer_ratio()
         t_num, t_den = theta_n.as_integer_ratio()
         step = fn_core._lattice_step((b_num, b_den.bit_length() - 1),
-                                     (t_num, t_den.bit_length() - 1), bits, 15)
+                                     (t_num, t_den.bit_length() - 1), bits, fn_core._TABLE_BITS)
         assert (step is not None) == on, n
         if on:
             got = fn_core._lattice_g(g, digits, step)
@@ -730,6 +729,33 @@ def test_lattice_lookup_keeps_the_bits_of_the_reduction(freq, phases, g, kind, p
         got = evaluate_many(spec, draw, xs, order)
     want = oracles.evaluate_levels(spec, draw, xs, order)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_grid_levels_of_odd_b_are_lookups(monkeypatch):
+    # on j / 2^17 the reduced arguments of every level of b = 3 lie on the
+    # 2^-17 lattice, so once the table (and the constant levels of the block
+    # holding x = 1 alone) is built, sampling draws evaluates g on no point,
+    # and each row keeps the bits of one reduction per level
+    spec = build_spec(0.5, geometric(3.0))
+    order = fn_core.effective_order(spec)
+    m = (1 << 17) + 1
+    draws = [draw_coefficients(spec, s, order) for s in (1, 2)]
+    list(sample_graphs(spec, draws[:1], m))
+    points = []
+    sample = fn_core.BaseFunction.sample
+
+    def counted(self, t):
+        points.append(np.size(t))
+        return sample(self, t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fn_core.BaseFunction, "sample", counted)
+        samples = list(sample_graphs(spec, draws, m))
+    assert sum(points) == 0
+    grid = np.linspace(0.0, 1.0, m)
+    for draw, s in zip(draws, samples):
+        want = oracles.evaluate_levels(spec, draw, grid, order)
+        assert np.array_equal(s.ys.view(np.uint64), want.view(np.uint64))
 
 
 @given(seed=st.integers(min_value=0, max_value=10 ** 6),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wlab import fn_core
+from wlab import acceptance, fn_core, occupation
 from wlab.fn_core import (
     COS,
     COS_PLUS_HALF,
@@ -24,6 +24,7 @@ from wlab.occupation import (
     adaptive_char_profile,
     char_function_mc,
     char_function_profile,
+    draw_average,
     fourier_step,
     increment_half_widths,
     occupation_histogram,
@@ -306,6 +307,34 @@ def test_char_mc_validation():
     spec = build_spec(0.8, geometric(2.0))
     with pytest.raises(ValueError):
         char_function_mc(spec, 0.1, 0.2, 1.0, 10, seed=1, order=10)
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_char_mc_rejects_order_below_one(order):
+    spec = build_spec(0.8, geometric(2.0))
+    with pytest.raises(ValueError, match=f"order must be >= 1, got {order}"):
+        char_function_mc(spec, 0.1, 0.2, 1.0, 2000, seed=1, order=order)
+
+
+@pytest.mark.parametrize("half_widths, message", [(np.zeros(0), "order must be >= 1, got 0"),
+                                                   (np.zeros((2, 3)), "must be 1-D")])
+def test_draw_average_validation(half_widths, message):
+    with pytest.raises(ValueError, match=message):
+        draw_average(half_widths, 1.0, 2000, seed=1)
+
+
+def test_criterion_8_computes_each_tuples_half_widths_once(monkeypatch):
+    # sinc_product's half-widths feed the draw average and its rerun too
+    calls = []
+    half_widths = occupation.increment_half_widths
+
+    def counted(*args):
+        calls.append(args)
+        return half_widths(*args)
+
+    monkeypatch.setattr(occupation, "increment_half_widths", counted)
+    acceptance.criterion_8(acceptance.QUICK)
+    assert len(calls) == acceptance.QUICK.sinc_tuples == 20
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ a boxdim of 40 draws at m = 2^17 + 1, whose rows span two draw groups,
 a gen whose points, b, phases and g come from a --config file, and gens
 on the dyadic grid j / 4096 for b = 4 with phases and for b = 6, whose
 levels turn constant once 2^12 divides b_n, and a gen on j / 256 for
-b = 2.5 with phases on the 2^-15 lattice, whose levels 0-7 look g up in
+b = 2.5 with phases on the 2^-15 lattice, whose levels 0-9 look g up in
 its table, and a gen on the integer --b-seq 1,3,10,...,1000 with phases,
 whose levels 1-6 reduce on the uint64 lane split once per block, while
 level 0, whose phase 1e-30 has over 63 fraction digits, reduces in full,
@@ -26,8 +26,11 @@ cos2 case also writes the PBM of its first-hit set at level 1 to
 marked symmetric besides the cover's near-level sets and levels; a
 characteristic-function profile; and the sample_graph CSV of the base
 function cos + 0.2 cos(7 .), which no CLI option names, on j / 256 for
-b = 2.5 with phases on the 2^-15 lattice, so that its levels 0-7 look
-it up in its own table).  Prints one ``sha256 path`` line per
+b = 2.5 with phases on the 2^-15 lattice, so that its levels 0-9 look
+it up in its own table; and the raw little-endian float64 ys of a
+sample_graph of a = 0.5, b = 3 on j / 2^17 with phases on the 2^-17
+lattice, every level of which looks g up in the table, to
+``sample_b3_lattice.ys.f64``).  Prints one ``sha256 path`` line per
 artifact, paths relative to that directory, so two source trees can be
 compared with ``diff``.  Run it from a checkout's root:
 
@@ -119,6 +122,10 @@ def library_writers(out: Path) -> None:
     series = fn_core.build_spec(0.8, fn_core.geometric(2.5), phases=[0.25, 0.5, 0.125], g=g7)
     order = fn_core.effective_order(series)
     fn_core.sample_graph(series, fn_core.draw_coefficients(series, 1, order), 257).write_csv(out / "gen_g7.csv")
+    lattice = fn_core.build_spec(0.5, fn_core.geometric(3.0), phases=[0.25, 3 * 2.0 ** -17, 0.5 + 2.0 ** -17])
+    order = fn_core.effective_order(lattice)
+    ys = fn_core.sample_graph(lattice, fn_core.draw_coefficients(lattice, 5, order), (1 << 17) + 1).ys
+    (out / "sample_b3_lattice.ys.f64").write_bytes(ys.astype("<f8").tobytes())
 
 
 def main() -> None:
