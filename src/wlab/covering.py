@@ -1,10 +1,13 @@
 """Grid covers of near-level sets and their iterated scaled intersections.
 
 Everything lives on an M x M bitmap over [0,1]^2 with half-open cells
-[i/M,(i+1)/M) x [j/M,(j+1)/M).  Sets are conservative outer approximations
-(center test plus one-cell dilation where stated); measures are cell counts
-over M^2, so every inequality checked here sees an upper bound on the true
-set, matching the direction of the decay estimates being verified.
+[i/M,(i+1)/M) x [j/M,(j+1)/M), stored in image order: bits[j, i] covers
+y-cell j and x-cell i, so the rows run along x as a PBM's rows do.  Every
+operation here treats both axes alike.  Sets are conservative outer
+approximations (center test plus one-cell dilation where stated); measures
+are cell counts over M^2, so every inequality checked here sees an upper
+bound on the true set, matching the direction of the decay estimates being
+verified.
 """
 
 from __future__ import annotations
@@ -26,10 +29,6 @@ CELLS_PER_OSCILLATION = 4
 # bitmap kernels walk their rows in blocks of the same number of cells.
 _MASK_BLOCK = 1 << 16
 
-# Side of the square tiles the PBM writer transposes: a source tile and its
-# destination both stay in L1, where a whole-grid strided transpose does not.
-_PBM_TILE = 128
-
 # first_hit_sets updates the whole square level by level while more than
 # this share of its cells lacks a second hit, then walks only those cells,
 # this many at a time: a step's two float64 gathers and the intp copies of
@@ -44,16 +43,9 @@ _OPEN_CHUNK = _MASK_BLOCK // 2
 
 @dataclass
 class GridSet:
-    """Boolean mask over the unit square; bits[i, j] covers x-cell i, y-cell j.
-
-    ``symmetric`` is derived, never passed: only the constructors whose bits
-    equal their transpose set it (near_level_set, dilate of a symmetric set,
-    intersection_sequence levels of one, FirstHitDecomposition.sets), and
-    write_pbm then flips the rows with no transpose.
-    """
+    """Boolean mask over the unit square in image order: bits[j, i] covers y-cell j, x-cell i."""
 
     bits: np.ndarray
-    symmetric: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=bool)
@@ -98,7 +90,7 @@ class GridSet:
             blk[:, 0] |= saved[:, -1]
             blk[:, :-1] |= saved[:, 1:]
             blk[:, -1] |= saved[:, 0]
-        return _grid_set(out, self.symmetric)
+        return GridSet(out)
 
     def contains_within(self, other: "GridSet") -> bool:
         """True when every cell of self lies within one cell of other."""
@@ -108,27 +100,11 @@ class GridSet:
         """Plain PBM (P1); rows are y top-to-bottom for visual inspection."""
         m = self.resolution
         rows = np.full((m, m + 1), ord("\n"), dtype=np.uint8)
-        # rows[r, c] = bits[c, m - 1 - r]: row 0 = top of the square; for a
-        # symmetric set that is bits[m - 1 - r, c], a row flip
-        if self.symmetric:
-            np.add(self.bits[::-1], np.uint8(ord("0")), out=rows[:, :m])
-        else:
-            flipped = self.bits[:, ::-1]
-            t = _PBM_TILE
-            for r in range(0, m, t):
-                for c in range(0, m, t):
-                    rows[r:r + t, c:min(c + t, m)] = flipped[c:c + t, r:r + t].T
-            rows[:, :m] += ord("0")
+        # row 0 is the top of the square: PBM row r is bits[m - 1 - r]
+        np.add(self.bits[::-1], np.uint8(ord("0")), out=rows[:, :m])
         with open(path, "wb") as fh:
             fh.write(f"P1\n{m} {m}\n".encode())
             fh.write(rows.data)
-
-
-def _grid_set(bits: np.ndarray, symmetric: bool) -> GridSet:
-    """A GridSet of bits whose symmetry its constructor vouches for."""
-    s = GridSet(bits)
-    s.symmetric = symmetric
-    return s
 
 
 def cell_centers(resolution: int) -> np.ndarray:
@@ -211,7 +187,7 @@ def near_level_set(g: BaseFunction, epsilon: float, resolution: int,
     else:
         raise ValueError(f"unknown method {method!r}")
     np.logical_not(marked, out=marked)
-    return _grid_set(marked, True).dilate()
+    return GridSet(marked).dilate()
 
 
 def _level_values(spec: FunctionSpec, n: int, centers: np.ndarray) -> np.ndarray:
@@ -236,7 +212,7 @@ def cover_count(s: GridSet, delta: float) -> int:
     m = s.resolution
     if delta < 1.0 / m:
         raise ValueError(f"delta {delta} finer than the grid resolution 1/{m}")
-    ix, iy = np.divmod(np.flatnonzero(s.bits), m)   # one flat scan: the order of np.nonzero
+    iy, ix = np.divmod(np.flatnonzero(s.bits), m)   # one flat scan: the order of np.nonzero
     if len(ix) == 0:
         return 0
     slack = 1e-9
@@ -248,9 +224,9 @@ def cover_count(s: GridSet, delta: float) -> int:
     lo = np.floor(r[:-1] + slack).astype(np.intp)
     hi = np.minimum(np.ceil(r[1:] - slack).astype(np.intp) - 1, n_squares - 1)
     hit = np.zeros((n_squares, n_squares), dtype=bool)
-    for kx in (lo[ix], hi[ix]):
-        for ky in (lo[iy], hi[iy]):
-            hit[kx, ky] = True
+    for ky in (lo[iy], hi[iy]):
+        for kx in (lo[ix], hi[ix]):
+            hit[ky, kx] = True
     return int(np.count_nonzero(hit))
 
 
@@ -306,7 +282,7 @@ def intersection_sequence(a: GridSet, spec: FunctionSpec, n_max: int, on_level=N
     m = a.resolution
     n_eff = _level_cap(spec, n_max, m)
     centers = cell_centers(m)
-    level = _grid_set(a.bits.copy(), a.symmetric)   # one index map on both axes keeps the symmetry
+    level = GridSet(a.bits.copy())
     bits = level.bits
     rows = max(1, _MASK_BLOCK // m)
     row_buf = np.empty((min(rows, m), m), dtype=bool)
@@ -417,9 +393,10 @@ def decay_fit(measures) -> DecayFit:
 class FirstHitDecomposition:
     """First- and second-hit partition of the square by the oscillation sets.
 
-    first[i, j] is the first index n with |g(b_n x) - g(b_n y)| >= epsilon at
-    the cell's center (-1 if none up to the cap), and sets[n] the cells with
-    first index n; pair_measures[n0, n1] is the measure of the cells hitting
+    first[j, i] (image order, as in GridSet) is the first index n with
+    |g(b_n x) - g(b_n y)| >= epsilon at the center of y-cell j, x-cell i
+    (-1 if none up to the cap), and sets[n] the cells with first index n;
+    pair_measures[n0, n1] is the measure of the cells hitting
     first at n0 and next at n1.  partial_sums[k] accumulates
     sum_{n0 < n1 <= k} measure / (a^n0 a^n1), the series whose convergence
     drives the occupation-density argument.
@@ -435,7 +412,7 @@ class FirstHitDecomposition:
 
     @functools.cached_property
     def sets(self) -> list:
-        return [_grid_set(self.first == n, True) for n in range(self.n_max_effective + 1)]
+        return [GridSet(self.first == n) for n in range(self.n_max_effective + 1)]
 
     def increments(self) -> list:
         return [b - a for a, b in zip(self.partial_sums, self.partial_sums[1:])]

@@ -43,11 +43,15 @@ def _column_starts(xs: np.ndarray, scales, min_points_per_column: int) -> list:
     """Per scale eps, the index of the first sample in each eps-wide column of xs.
 
     DensityError unless xs holds at least 2 samples and every eps spans at
-    least min_points_per_column of its largest spacing.
+    least min_points_per_column of its largest spacing; ValueError unless
+    xs is strictly increasing.
     """
     if len(xs) < 2:
         raise DensityError("need at least 2 samples")
-    h = float(np.max(np.diff(xs)))
+    steps = np.diff(xs)
+    if not np.all(steps > 0):
+        raise ValueError("xs must be strictly increasing")
+    h = float(np.max(steps))
     starts = []
     for eps in scales:
         if eps * (1.0 + 1e-9) < min_points_per_column * h:

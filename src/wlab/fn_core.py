@@ -678,8 +678,6 @@ class GraphSample:
         object.__setattr__(self, "ys", np.asarray(self.ys, dtype=np.float64))
         if self.xs.shape != self.ys.shape:
             raise ValueError("xs and ys must have equal length")
-        if len(self.xs) >= 2 and not np.all(np.diff(self.xs) > 0):
-            raise ValueError("xs must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.xs)

@@ -91,7 +91,11 @@ def brute_dilate_bits(bits, steps):
 
 
 def tiled_pbm_bytes(bits, tile=128):
-    """A plain PBM of bits by the tiled transpose of the writer for sets of any shape: rows[r, c] = bits[c, m - 1 - r]."""
+    """A plain PBM of bits[x, y] by a tiled transpose: rows[r, c] = bits[c, m - 1 - r].
+
+    For a symmetric set, whose bits read the same in either order, these are
+    the bytes GridSet.write_pbm writes from its image-order bits.
+    """
     m = bits.shape[0]
     rows = np.full((m, m + 1), ord("\n"), dtype=np.uint8)
     flipped = bits[:, ::-1]

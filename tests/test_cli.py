@@ -6,6 +6,9 @@ from click.testing import CliRunner
 
 from wlab import fn_core
 from wlab.cli import main
+from wlab.covering import intersection_sequence, near_level_set
+
+import oracles
 
 
 @pytest.fixture
@@ -200,9 +203,15 @@ def test_cover_outputs_with_pbm(runner, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n,measure"
     assert len(lines) == 5
-    for n in range(4):
+    # each level's file has the bytes the reference writer gives its bits
+    spec = fn_core.build_spec(0.8, fn_core.geometric(2.0))
+    levels = []
+    intersection_sequence(near_level_set(fn_core.COS, 0.05, 128), spec, 3,
+                          on_level=lambda n, s: levels.append(s.bits.copy()))
+    assert len(levels) == 4
+    for n, bits in enumerate(levels):
         pbm = tmp_path / f"cover_level{n}.pbm"
-        assert pbm.read_text().startswith("P1\n128 128\n")
+        assert pbm.read_bytes() == oracles.tiled_pbm_bytes(bits)
 
 
 def test_cover_precondition_failure_leaves_no_pbm(runner, tmp_path):

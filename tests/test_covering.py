@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wlab import covering
 from wlab.covering import (
     CoverParams,
     GridSet,
@@ -67,27 +66,17 @@ def test_pbm_round_trip(tmp_path):
     assert lines[0] == "P1"
     assert lines[1] == "16 16"
     img = np.array([[c == "1" for c in row] for row in lines[2:]])
-    assert np.array_equal(img, s.bits.T[::-1])
+    assert np.array_equal(img, s.bits[::-1])
 
 
 def test_pbm_orientation(tmp_path):
-    # bits[i, j] is x-cell i, y-cell j; PBM rows run from the top y row down
+    # bits[j, i] is y-cell j, x-cell i; PBM rows run from the top y row down,
+    # so row r is bits[m - 1 - r]
     bits = np.zeros((3, 3), dtype=bool)
-    bits[0, 0] = bits[1, 0] = bits[0, 2] = bits[2, 1] = True
+    bits[0, 0] = bits[0, 1] = bits[2, 0] = bits[1, 2] = True
     path = tmp_path / "set.pbm"
     GridSet(bits).write_pbm(path)
     assert path.read_bytes() == b"P1\n3 3\n100\n001\n110\n"
-
-
-def test_pbm_tiled_transpose_matches_flip_on_ragged_tiles(tmp_path):
-    # m = 300 leaves partial tiles on the last row and column of tiles
-    m = 300
-    bits = substream(3, "pbm-tiles").random((m, m)) < 0.3
-    path = tmp_path / "set.pbm"
-    GridSet(bits).write_pbm(path)
-    rows = np.full((m, m + 1), ord("\n"), dtype=np.uint8)
-    rows[:, :m] = bits.T[::-1] + np.uint8(ord("0"))
-    assert path.read_bytes() == f"P1\n{m} {m}\n".encode() + rows.tobytes()
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3])
@@ -494,21 +483,22 @@ def _written_pbm(s, path):
        eps=st.sampled_from([0.05, 0.4]),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
-def test_sets_marked_symmetric_are_symmetric_and_write_the_tiled_pbm(tmp_path_factory, b, g, m, on_lattice,
-                                                                      eps, seed):
+def test_library_sets_are_symmetric_and_write_the_tiled_pbm(tmp_path_factory, b, g, m, on_lattice, eps, seed):
     # near-level sets, their dilations and intersection levels, and first-hit
-    # sets are marked symmetric, and their PBM, a row flip, has the bytes of
-    # the tiled transpose (cos takes the factorized near-level path, cos2 the
-    # generic one); an unmarked set's dilation and levels stay unmarked
+    # sets equal their transpose, and their PBM, a row flip, has the bytes of
+    # the tiled-transpose reference writer (cos takes the factorized
+    # near-level path, cos2 the generic one); every operation commutes with
+    # the transpose, so the image order of the bits changes no result
     path = tmp_path_factory.mktemp("pbm") / "set.pbm"
 
     def check(s):
-        assert s.symmetric
         assert np.array_equal(s.bits, s.bits.T)
         assert _written_pbm(s, path) == oracles.tiled_pbm_bytes(s.bits)
 
-    def check_unmarked(s):
-        assert not s.symmetric
+    def levels(s):
+        seen = []
+        intersection_sequence(s, spec, n_max, on_level=lambda n, t: seen.append(t.bits.copy()))
+        return seen
 
     rng = substream(seed, "symmetric-sets")
     n_max = 6
@@ -521,21 +511,17 @@ def test_sets_marked_symmetric_are_symmetric_and_write_the_tiled_pbm(tmp_path_fa
     for s in first_hit_sets(spec, eps, n_max, m).sets:
         check(s)
     asymmetric = GridSet(rng.random((m, m)) < 0.9)
-    check_unmarked(asymmetric)
-    check_unmarked(asymmetric.dilate())
-    intersection_sequence(asymmetric, spec, n_max, on_level=lambda n, s: check_unmarked(s))
-
-
-def test_symmetric_sets_write_their_pbm_without_the_tile_loop(tmp_path, monkeypatch):
-    # a zero tile side would stop the tile loop at its first range()
-    spec = build_spec(0.8, geometric(2.0), phases=[0.0, 0.25, 0.5], g=COS_PLUS_HALF)
-    sets = [near_level_set(COS, 0.05, 300), near_level_set(COS_PLUS_HALF, 0.05, 300),
-            *first_hit_sets(spec, 0.05, 2, 300).sets]
-    want = [oracles.tiled_pbm_bytes(s.bits) for s in sets]
-    monkeypatch.setattr(covering, "_PBM_TILE", 0)
-    assert [_written_pbm(s, tmp_path / "set.pbm") for s in sets] == want
-    with pytest.raises(ValueError):
-        GridSet(sets[0].bits).write_pbm(tmp_path / "set.pbm")
+    transposed = GridSet(asymmetric.bits.T)
+    assert asymmetric != transposed
+    assert np.array_equal(transposed.dilate().bits, asymmetric.dilate().bits.T)
+    pairs = list(zip(levels(asymmetric), levels(transposed), strict=True))
+    for bits, bits_t in pairs:
+        assert np.array_equal(bits_t, bits.T)
+    for bits, bits_t in [(asymmetric.bits, transposed.bits), pairs[-1]]:
+        s, t = GridSet(bits), GridSet(bits_t)
+        assert s.measure() == t.measure()
+        for delta in (2.5 / m, 0.1):
+            assert cover_count(s, delta) == cover_count(t, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,17 @@ def test_scan_counts_equal_box_count_per_sample(a, b):
     assert dimension._scan_counts(samples, scales) == want
 
 
+@pytest.mark.parametrize("xs", [[0.0, 0.5, 0.25, 0.75], [0.0, 0.25, 0.25, 0.75]],
+                         ids=["unsorted", "repeated"])
+def test_box_counts_reject_xs_not_strictly_increasing(xs):
+    # box_count and the scan's shared-grid path check the order of xs
+    s = GraphSample(xs=np.array(xs), ys=np.zeros(4), truncation_order=0, tail_bound=0.0)
+    with pytest.raises(ValueError, match="xs must be strictly increasing"):
+        box_count(s, 0.5, min_points_per_column=1)
+    with pytest.raises(ValueError, match="xs must be strictly increasing"):
+        dimension._scan_counts([s], [0.5])
+
+
 @given(st.integers(min_value=0, max_value=10 ** 6))
 @settings(max_examples=15, deadline=None)
 def test_box_count_scale_halving_property(seed):

@@ -22,8 +22,8 @@ every row of every level is tested; each writes its pair measures to
 ``<case>.csv`` and the bytes of its whole m x m first-hit map, int16
 little-endian in row-major order, to ``<case>.first.i16``; the phased
 cos2 case also writes the PBM of its first-hit set at level 1 to
-``first_hit_cos2.set1.pbm``, a PBM from a second constructor of sets
-marked symmetric besides the cover's near-level sets and levels; a
+``first_hit_cos2.set1.pbm``, a PBM from a second constructor of
+symmetric sets besides the cover's near-level sets and levels; a
 characteristic-function profile; and the sample_graph CSV of the base
 function cos + 0.2 cos(7 .), which no CLI option names, on j / 256 for
 b = 2.5 with phases on the 2^-15 lattice, so that its levels 0-9 look
