@@ -158,7 +158,7 @@ def criterion_3(profile: AcceptanceProfile) -> CriterionResult:
 
 
 def criterion_4(profile: AcceptanceProfile) -> CriterionResult:
-    """Energy of the zero function at t = 0.5 within 3 errors of 8/3."""
+    """Energy of the zero function at t = 0.5 within 3 errors of 8/3 (uniform pairs on 2^-36)."""
     t0 = time.time()
     spec = _weierstrass_spec()
     est = dimension.energy_estimate(spec, fn_core.zero_draw(), 0.5,
@@ -178,7 +178,7 @@ def criterion_4(profile: AcceptanceProfile) -> CriterionResult:
 
 
 def criterion_5(profile: AcceptanceProfile) -> CriterionResult:
-    """Scan verdicts: t = 1.2 and 1.4 stable, t = 1.9 diverging."""
+    """Scan verdicts over uniform pairs on 2^-36: t = 1.2 and 1.4 stable, t = 1.9 diverging."""
     spec = _weierstrass_spec()
     entries = dimension.energy_threshold_scan(
         spec, [1.2, 1.4, 1.6, 1.9], profile.scan_pairs,

@@ -4,9 +4,12 @@ The box counter walks columns of width eps and counts the vertical boxes an
 anchored grid needs for each column's value range: O(samples) per scale, and
 provably identical to hashing every sample point's box whenever consecutive
 samples move less than eps vertically.  The energy side estimates
-mean((dx^2 + df^2)^(-t/2)) over uniform pairs; the integrand's singularity
-on the diagonal defeats fixed quadrature grids, so Monte Carlo with explicit
-standard errors is the tool.
+mean((dx^2 + df^2)^(-t/2)) over uniform pairs on 2^-36; the integrand's
+singularity on the diagonal defeats fixed quadrature grids, so Monte Carlo
+with explicit standard errors is the tool.  Each pair point is a Philox
+double truncated to 36 fraction bits, so it moves by less than 2^-36, and
+for b = 2 levels 36 and up are constant, 19-35 table lookups, and only 0-18
+reach np.cos (see fn_core._level_pass).
 """
 
 from __future__ import annotations
@@ -197,32 +200,56 @@ class EnergyEstimate:
 
 _CHUNK = 1 << 16
 _MIN_PAIRS = 1000
+_LATTICE_BITS = 36   # fraction bits of every Monte Carlo pair point
+
+
+def _to_lattice(u: np.ndarray) -> np.ndarray:
+    """u set in place to floor(u 2^36) 2^-36, and returned.
+
+    Exact: the scalings are by powers of 2, and each u in [0, 1) moves
+    down by less than 2^-36.
+    """
+    u *= 2.0 ** _LATTICE_BITS
+    np.floor(u, out=u)
+    u *= 2.0 ** -_LATTICE_BITS
+    return u
+
+
+def _lattice_pairs(seed: int, label: str, chunk_idx: int, k: int) -> np.ndarray:
+    """k i.i.d. uniform pairs on 2^-36 as one array xy, x = xy[:k] and y = xy[k:], with x != y.
+
+    xy is one draw of 2k doubles from the substream (seed, label,
+    chunk_idx), truncated in place to 2^-36; pairs with x == y after the
+    truncation are redrawn from the same stream and truncated too, up to
+    100 times before a RuntimeError.
+    """
+    gen = substream(seed, label, chunk_idx)
+    xy = _to_lattice(gen.random(2 * k))
+    x, y = xy[:k], xy[k:]
+    for _ in range(100):
+        equal = x == y
+        if not equal.any():
+            return xy
+        n_eq = int(equal.sum())
+        x[equal] = _to_lattice(gen.random(n_eq))
+        y[equal] = _to_lattice(gen.random(n_eq))
+    raise RuntimeError(f"x == y after 100 redraws in chunk {chunk_idx} of seed {seed}")
 
 
 def _pair_distances_sq(spec: FunctionSpec, draw: CoefficientDraw, order: int,
                        n_pairs: int, seed: int, label: str) -> np.ndarray:
-    """(x-y)^2 + (f(x)-f(y))^2 for i.i.d. uniform pairs; x == y redrawn.
+    """(x-y)^2 + (f(x)-f(y))^2 for i.i.d. uniform pairs on 2^-36 (_lattice_pairs).
 
-    A chunk's x and y are the two halves of one draw of 2k, the stream of
-    two draws of k, and its distances are built in place in the output.
+    Chunk i of at most 2^16 pairs draws from the substream (seed, label, i),
+    and its distances are built in place in the output.
     """
     out = np.empty(n_pairs, dtype=np.float64)
     done = 0
     chunk_idx = 0
     while done < n_pairs:
         k = min(_CHUNK, n_pairs - done)
-        gen = substream(seed, label, chunk_idx)
-        xy = gen.random(2 * k)
+        xy = _lattice_pairs(seed, label, chunk_idx, k)
         x, y = xy[:k], xy[k:]
-        for _ in range(100):
-            equal = x == y
-            if not equal.any():
-                break
-            n_eq = int(equal.sum())
-            x[equal] = gen.random(n_eq)
-            y[equal] = gen.random(n_eq)
-        else:
-            raise RuntimeError(f"x == y after 100 redraws in chunk {chunk_idx} of seed {seed}")
         f = evaluate_many(spec, draw, xy, order)
         d, df = out[done:done + k], f[:k]
         np.subtract(x, y, out=d)
@@ -237,7 +264,7 @@ def _pair_distances_sq(spec: FunctionSpec, draw: CoefficientDraw, order: int,
 
 def energy_estimate(spec: FunctionSpec, draw: CoefficientDraw, t: float,
                     n_pairs: int, seed: int) -> EnergyEstimate:
-    """Monte Carlo mean of ((x-y)^2 + (f(x)-f(y))^2)^(-t/2) over uniform pairs.
+    """Monte Carlo mean of ((x-y)^2 + (f(x)-f(y))^2)^(-t/2) over uniform pairs on 2^-36.
 
     f sums all draw.order terms of the draw.  Integrable singularities near
     the diagonal surface as heavy-tailed standard errors; they are reported,
@@ -300,6 +327,8 @@ def _correlation_dimension(d2: np.ndarray, k: int) -> tuple:
 def energy_threshold_scan(spec: FunctionSpec, t_grid, n_pairs: int, seeds,
                           order: int | None = None) -> list:
     """Seed-averaged energy profile with a stable/diverging verdict per t.
+
+    Each seed draws its own uniform pairs on 2^-36 (_pair_distances_sq).
 
     Diagnostics per t: the growth of the estimate from n_pairs/4 pairs (a
     prefix of the same stream) to n_pairs, and a pooled Hill tail index D_c/t,

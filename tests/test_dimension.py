@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wlab import dimension, fn_core
@@ -299,6 +300,109 @@ def test_pair_redraw_gives_up_loudly(monkeypatch):
     spec = build_spec(0.8, geometric(2.0))
     with pytest.raises(RuntimeError, match="after 100 redraws"):
         energy_estimate(spec, zero_draw(), 0.5, 1000, seed=1)
+
+
+@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_lattice_truncation_is_exact_and_in_place(us):
+    # floor(u 2^36) 2^-36 against Fractions: each point moves down by less
+    # than 2^-36, and no point keeps more than 36 fraction digits
+    u = np.array(us)
+    out = dimension._to_lattice(u)
+    assert out is u
+    step = Fraction(1, 2 ** 36)
+    for v, w in zip(us, u.tolist(), strict=True):
+        assert Fraction(w) == math.floor(Fraction(v) / step) * step
+        assert 0 <= Fraction(v) - Fraction(w) < step
+    assert fn_core._fraction_bits(u) <= 36
+
+
+def test_lattice_pairs_are_the_truncated_stream():
+    # without a pair equal on the lattice, the pairs are the chunk's one
+    # draw of 2k doubles, truncated
+    xy = dimension._lattice_pairs(5, "energy", 3, 1000)
+    u = substream(5, "energy", 3).random(2000)
+    assert np.array_equal(xy, np.floor(u * 2.0 ** 36) * 2.0 ** -36)
+    assert fn_core._fraction_bits(xy) == 36
+
+
+class _Scripted:
+    """A stand-in generator whose random(k) returns the next scripted array of k doubles."""
+
+    def __init__(self, draws):
+        self.draws = [np.asarray(d, dtype=np.float64) for d in draws]
+
+    def random(self, k):
+        out = self.draws.pop(0)
+        assert out.size == k
+        return out.copy()
+
+
+@given(j=st.integers(0, 2 ** 36 - 1),
+       low=st.lists(st.integers(0, 2 ** 17 - 1), min_size=2, max_size=2, unique=True),
+       redraw=st.lists(st.integers(0, 2 ** 53 - 1), min_size=2, max_size=2))
+@settings(max_examples=100, deadline=None)
+def test_pairs_equal_on_the_lattice_are_redrawn(j, low, redraw):
+    # x and y of pair 0 are distinct doubles in one cell [j, j + 1) 2^-36, so
+    # they are equal after the truncation: the pair is redrawn, and the
+    # redraws land on the lattice too
+    assume(redraw[0] >> 17 != redraw[1] >> 17)
+    x0, y0 = ((j << 17) + lo for lo in low)
+    gen = _Scripted([np.array([x0, 1 << 51, y0, 3 << 51]) * 2.0 ** -53,
+                     [redraw[0] * 2.0 ** -53], [redraw[1] * 2.0 ** -53]])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dimension, "substream", lambda *key: gen)
+        xy = dimension._lattice_pairs(1, "energy", 0, 2)
+    assert not gen.draws
+    want = [(redraw[0] >> 17) * 2.0 ** -36, 0.25, (redraw[1] >> 17) * 2.0 ** -36, 0.75]
+    assert xy.tolist() == want
+    assert fn_core._fraction_bits(xy) <= 36
+
+
+def test_pair_points_sample_g_at_19_levels_on_b2(monkeypatch):
+    # the pair points have 36 fraction digits, so for b = 2 at order 96 the
+    # levels 36 and up are constant and 19-35 table lookups: only levels
+    # 0-18 evaluate g, once per point (36 levels on 53-digit doubles).  The
+    # distances keep the bits of one reduction per level over the whole draw.
+    spec = build_spec(0.8, geometric(2.0))
+    draw = draw_coefficients(spec, 1, 96)
+    n = 1 << 15
+    _pair_distances_sq(spec, draw, 96, n, 2, "energy")   # builds the table and constant levels
+    points = []
+    sample = fn_core.BaseFunction.sample
+
+    def counted(self, t):
+        points.append(np.size(t))
+        return sample(self, t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fn_core.BaseFunction, "sample", counted)
+        d2 = _pair_distances_sq(spec, draw, 96, n, 2, "energy")
+    assert sum(points) == 19 * 2 * n
+    xy = dimension._lattice_pairs(2, "energy", 0, n)
+    f = oracles.evaluate_levels(spec, draw, xy, 96)
+    want = (xy[:n] - xy[n:]) ** 2 + (f[:n] - f[n:]) ** 2
+    assert np.array_equal(d2.view(np.uint64), want.view(np.uint64))
+
+
+def test_pair_points_take_the_lane_on_b25(monkeypatch):
+    # b_n = 5^n / 2^n puts level n of a 36-digit point on 2^-(36 + n), so
+    # levels 0-27 take the uint64 lane and level 28 is the first to reduce
+    # in full (on 53-digit doubles the lane ended at level 10)
+    spec = build_spec(0.8, geometric(2.5))
+    bits = fn_core._fraction_bits(dimension._lattice_pairs(1, "energy", 0, 1 << 15))
+    kinds = [fn_core._level_steps(spec, n, bits)[0] for n in range(29)]
+    assert kinds == ["lane"] * 28 + ["general"]
+    wide = []
+    wide_lane = fn_core._wide_lane
+
+    def counted(m, *args):
+        wide.append(m.size)
+        return wide_lane(m, *args)
+
+    monkeypatch.setattr(fn_core, "_wide_lane", counted)
+    _pair_distances_sq(spec, draw_coefficients(spec, 1, 28), 28, 1 << 14, 1, "energy")
+    assert wide == []
 
 
 def test_energy_validation():
