@@ -302,7 +302,7 @@ def criterion_9(profile: AcceptanceProfile) -> CriterionResult:
 
 
 def criterion_10(profile: AcceptanceProfile) -> CriterionResult:
-    """Column counting matches the box-hash oracle; cosine fast path matches generic."""
+    """Column counting matches the box-hash oracle; the cosine near-level set matches its closed form."""
     rng = substream(10, "box-oracle-samples")
     matches = 0
     for _ in range(profile.oracle_samples):
@@ -320,11 +320,12 @@ def criterion_10(profile: AcceptanceProfile) -> CriterionResult:
         if fast == len(boxes):
             matches += 1
 
-    res = 256
-    fast_set = covering.near_level_set(fn_core.COS, 0.05, res, method="factorized")
-    gen_set = covering.near_level_set(fn_core.COS, 0.05, res, method="generic")
-    within = fast_set.contains_within(gen_set) and gen_set.contains_within(fast_set)
-    sym_diff = (fast_set ^ gen_set).measure()
+    # cos 2pi x - cos 2pi y == 2 (sin^2 pi y - sin^2 pi x) identically
+    s2 = np.sin(math.pi * covering.cell_centers(256)) ** 2
+    closed = covering.GridSet(2.0 * np.abs(s2[:, None] - s2[None, :]) < 0.05).dilate()
+    lib_set = covering.near_level_set(fn_core.COS, 0.05, 256)
+    within = lib_set.contains_within(closed) and closed.contains_within(lib_set)
+    sym_diff = (lib_set ^ closed).measure()
     passed = matches == profile.oracle_samples and within
     return CriterionResult(
         10, "oracle equivalence", passed,

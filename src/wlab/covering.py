@@ -160,32 +160,13 @@ def _period(v: np.ndarray) -> int:
 # near-level sets of the base function
 # ---------------------------------------------------------------------------
 
-def near_level_set(g: BaseFunction, epsilon: float, resolution: int,
-                   method: str = "auto") -> GridSet:
-    """Outer grid cover of {(x, y): |g(x) - g(y)| < epsilon}.
-
-    Cells are marked by a center test and dilated by one cell.  For the plain
-    cosine the separable factorization 2|sin^2(pi x) - sin^2(pi y)|, which
-    equals |cos 2pi x - cos 2pi y| identically, is available as a fast path
-    and must mark the same cells as the generic path.
-    """
+def near_level_set(g: BaseFunction, epsilon: float, resolution: int) -> GridSet:
+    """Outer grid cover of {(x, y): |g(x) - g(y)| < epsilon}: a center test, dilated by one cell."""
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    plain_cos = g.terms == ((1, 1.0),)
-    if method == "auto":
-        method = "factorized" if plain_cos else "generic"
-    centers = cell_centers(resolution)
-    if method == "generic":
-        marked = _far_mask(g.sample(centers), epsilon)
-    elif method == "factorized":
-        if not plain_cos:
-            raise ValueError("factorized path applies to the plain cosine only")
-        # 2|s_i - s_j| == |2 s_i - 2 s_j| exactly: scaling by 2 commutes with rounding.
-        marked = _far_mask(2.0 * np.sin(math.pi * centers) ** 2, epsilon)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    marked = _far_mask(g.sample(cell_centers(resolution)), epsilon)
     np.logical_not(marked, out=marked)
     return GridSet(marked).dilate()
 

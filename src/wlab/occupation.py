@@ -392,14 +392,6 @@ class ProductBoundReport:
     n_invalid: int
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "n_checked": self.n_checked,
-            "n_invalid": self.n_invalid,
-            "passed": self.passed,
-        }
-
 
 def pair_product_bound(spec: FunctionSpec, epsilon: float, u: float, pairs,
                        n0: int, n1: int, order: int | None = None) -> ProductBoundReport:

@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from wlab.acceptance import CRITERIA, DESK
+from wlab import acceptance, covering
+from wlab.acceptance import CRITERIA, DESK, QUICK
 
 
 @pytest.mark.parametrize("cid", sorted(CRITERIA))
@@ -20,3 +21,18 @@ def test_criterion(cid, capsys):
     with capsys.disabled():
         print(f"\n{result.line()}  [{runtime:.1f}s]")
     assert result.passed, result.details
+
+
+def test_criterion_10_catches_a_far_cell_in_the_near_level_set(monkeypatch):
+    # (x, y) = (0.502, 0.002) is far: cos 2pi x - cos 2pi y is about -2
+    real = covering.near_level_set
+
+    def planted(*args, **kwargs):
+        s = real(*args, **kwargs)
+        s.bits[0, 128] = True
+        return s
+
+    monkeypatch.setattr(covering, "near_level_set", planted)
+    result = acceptance.criterion_10(QUICK)
+    assert not result.passed
+    assert result.details["paths_within_fringe"] is False

@@ -113,7 +113,7 @@ def test_dilate_matches_rolls_on_ragged_row_blocks(steps):
 
 def test_near_level_full_when_eps_dominates():
     for g in (COS, COS_PLUS_HALF):
-        s = near_level_set(g, 2.0 * g.sup_abs + 0.01, 64, method="generic")
+        s = near_level_set(g, 2.0 * g.sup_abs + 0.01, 64)
         assert s.measure() == 1.0
 
 
@@ -121,7 +121,7 @@ def test_near_level_monotone_in_eps():
     prev = None
     diag = np.arange(256)
     for eps in [1.6, 0.8, 0.4, 0.2, 0.1, 0.05, 0.01]:
-        s = near_level_set(COS, eps, 256, method="generic")
+        s = near_level_set(COS, eps, 256)
         if prev is not None:
             assert s.measure() <= prev
         prev = s.measure()
@@ -131,20 +131,11 @@ def test_near_level_monotone_in_eps():
 
 def test_near_level_brute_force_fixture():
     # frozen value computed with the plain-loop oracle at M=1024, eps=0.05
-    s = near_level_set(COS, 0.05, 1024, method="generic")
+    s = near_level_set(COS, 0.05, 1024)
     assert s.measure() == 0.06871795654296875
     brute = oracles.brute_near_level_bits(lambda c: np.cos(2 * np.pi * c), 0.05, 256)
-    ours = near_level_set(COS, 0.05, 256, method="generic")
+    ours = near_level_set(COS, 0.05, 256)
     assert np.array_equal(ours.bits, brute)
-
-
-def test_fast_path_matches_generic_cell_for_cell():
-    for m in (256, 512):
-        fast = near_level_set(COS, 0.05, m, method="factorized")
-        gen = near_level_set(COS, 0.05, m, method="generic")
-        assert fast.contains_within(gen)
-        assert gen.contains_within(fast)
-        assert (fast ^ gen).measure() <= 16.0 / m
 
 
 def test_far_mask_matches_outer_difference_with_ties():
@@ -158,15 +149,18 @@ def test_far_mask_matches_outer_difference_with_ties():
     assert np.array_equal(_far_mask(v, eps), diff >= eps)
 
 
-def test_near_level_paths_match_outer_difference_expressions():
-    m, eps = 1500, 0.05
+@pytest.mark.parametrize("eps", [0.01, 0.05, 0.1])
+@pytest.mark.parametrize("m", [256, 1458, 1500])
+def test_near_level_paths_match_outer_difference_expressions(m, eps):
+    # the plain cosine marks exactly the cells of its closed form
+    # 2|sin^2(pi x) - sin^2(pi y)|, which equals |cos 2pi x - cos 2pi y| up to rounding
     centers = cell_centers(m)
     gv = COS_PLUS_HALF.sample(centers)
     want = GridSet(np.abs(gv[:, None] - gv[None, :]) < eps).dilate()
-    assert near_level_set(COS_PLUS_HALF, eps, m, method="generic") == want
+    assert near_level_set(COS_PLUS_HALF, eps, m) == want
     s2 = np.sin(math.pi * centers) ** 2
     want = GridSet(2.0 * np.abs(s2[:, None] - s2[None, :]) < eps).dilate()
-    assert near_level_set(COS, eps, m, method="factorized") == want
+    assert near_level_set(COS, eps, m) == want
 
 
 def test_level_set_masks_build_no_float_square():
@@ -179,7 +173,7 @@ def test_level_set_masks_build_no_float_square():
     a = near_level_set(COS, 0.05, m)
     # b = 2.5 has no period on the grid, so every row of every level is built
     aperiodic = build_spec(0.8, geometric(2.5), g=COS_PLUS_HALF)
-    for build, bound in ((lambda: near_level_set(COS_PLUS_HALF, 0.05, m, method="generic"), 2.5),
+    for build, bound in ((lambda: near_level_set(COS_PLUS_HALF, 0.05, m), 2.5),
                          (lambda: a.dilate(), 1.5),
                          (lambda: intersection_sequence(a, _spec_08_2(), 6), 1.5),
                          (lambda: intersection_sequence(a, aperiodic, 6), 1.5),
@@ -192,11 +186,6 @@ def test_level_set_masks_build_no_float_square():
         finally:
             tracemalloc.stop()
         assert peak < bound * m * m
-
-
-def test_fast_path_rejected_for_other_bases():
-    with pytest.raises(ValueError):
-        near_level_set(COS_PLUS_HALF, 0.05, 64, method="factorized")
 
 
 def test_near_level_parameter_validation():
@@ -290,7 +279,7 @@ def test_iterated_intersection_full_square_fixed_point():
 
 def test_iterated_intersection_brute_force_zero_phase():
     spec = _spec_08_2()
-    a = near_level_set(COS, 0.05, 128, method="generic")
+    a = near_level_set(COS, 0.05, 128)
     ours = _levels(a, spec, 3)[0][3]
     brute = oracles.brute_iterated_bits(a.bits, [1, 2, 4, 8], None, 3)
     assert np.array_equal(ours.bits, brute)
@@ -300,7 +289,7 @@ def test_iterated_intersection_brute_force_zero_phase():
 def test_iterated_intersection_brute_force_random_phases():
     # b = 2.5 maps cell centres to indices that are no strided tiling of the grid
     phases = (0.0, 0.37, 0.81, 0.13)
-    a = near_level_set(COS, 0.08, 64, method="generic")
+    a = near_level_set(COS, 0.08, 64)
     for b in (2.0, 2.5):
         sets = _levels(a, build_spec(0.8, geometric(b), phases=phases), 3)[0]
         for n in range(4):
@@ -486,8 +475,7 @@ def _written_pbm(s, path):
 def test_library_sets_are_symmetric_and_write_the_tiled_pbm(tmp_path_factory, b, g, m, on_lattice, eps, seed):
     # near-level sets, their dilations and intersection levels, and first-hit
     # sets equal their transpose, and their PBM, a row flip, has the bytes of
-    # the tiled-transpose reference writer (cos takes the factorized
-    # near-level path, cos2 the generic one); every operation commutes with
+    # the tiled-transpose reference writer; every operation commutes with
     # the transpose, so the image order of the bits changes no result
     path = tmp_path_factory.mktemp("pbm") / "set.pbm"
 
@@ -716,7 +704,7 @@ def test_explicit_sequence_caps_at_available_levels():
     from wlab.fn_core import explicit
 
     spec = build_spec(0.75, explicit([1, 2, 4, 8, 16], 2.0))
-    a = near_level_set(COS, 0.1, 256, method="generic")
+    a = near_level_set(COS, 0.1, 256)
     with pytest.warns(UserWarning, match="capping"):
         _, measures, n_eff = intersection_sequence(a, spec, 10)
     assert n_eff == 4  # only 5 frequencies exist

@@ -243,9 +243,11 @@ def test_energy_estimate_temporaries():
     # them; numpy's w.std would add a second n-double array.  A chunk holds
     # its x, y buffer, f at both halves and evaluate_many's own temporaries
     # (about 6 chunk arrays); concatenating x and y and building the sum
-    # from fresh squares took about 8
+    # from fresh squares took about 8.  The small warm-up call keeps numpy's
+    # one-time lazy imports on the first substream out of the traced peak.
     n = 1 << 20
     spec = build_spec(0.8, geometric(2.0))
+    energy_estimate(spec, zero_draw(), 0.5, 1000, seed=5)
     tracemalloc.start()
     try:
         energy_estimate(spec, zero_draw(), 0.5, n, seed=5)

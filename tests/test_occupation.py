@@ -516,11 +516,6 @@ def test_increment_half_widths_alternate_access():
 def test_reports_json_serializable(tmp_path):
     import json
 
-    spec = build_spec(0.8, geometric(2.0))
-    rep = pair_product_bound(spec, 0.05, 20.0, [(0.1, 0.6)], 0, 1, order=5)
-    doc = json.loads(json.dumps(rep.to_json_dict()))
-    assert set(doc) == {"max_ratio", "n_checked", "n_invalid", "passed"}
-
     _, s = _weier_sample(m=2 ** 14)
     dens = occupation_histogram(s, 64)
     prof = char_function_profile(s, du=fourier_step(dens), u_max=40.0)

@@ -3,7 +3,7 @@
 Runs each CLI command at its defaults (plus a non-integer b, an explicit
 frequency sequence with phases, a phased gen on integer b, a phased cover,
 a phased cover on b = 2.5 with PBMs, whose cell indices do not tile the
-grid, a cos2 cover with PBMs, whose near-level set takes the generic path,
+grid, a cos2 cover with PBMs,
 a boxdim of 40 draws at m = 2^17 + 1, whose rows span two draw groups,
 a gen whose points, b, phases and g come from a --config file, and gens
 on the dyadic grid j / 4096 for b = 4 with phases and for b = 6, whose
