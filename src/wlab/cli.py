@@ -65,13 +65,19 @@ def _load_config(ctx: click.Context, param, path: str | None) -> None:
     ctx.default_map = values
 
 
+def _config_error(message: str):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(CONFIG_EXIT)
+
+
 def _check_output_dir(ctx: click.Context, param, path: str | None) -> str | None:
-    """Exit 2 before any work when the directory an output goes to is missing."""
+    """Exit 2 before any work when an output path is a directory or its directory is missing."""
     if path is not None:
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
-            click.echo(f"error: output directory {parent} does not exist", err=True)
-            sys.exit(CONFIG_EXIT)
+            _config_error(f"output directory {parent} does not exist")
+        if os.path.isdir(path):
+            _config_error(f"output {path} is a directory")
     return path
 
 
@@ -82,8 +88,8 @@ def _enter_threads(ctx: click.Context, param, n: int) -> None:
 
 
 def _spec(a, b, b_seq, phases, g, **_) -> fn_core.FunctionSpec:
-    freq = fn_core.explicit(b_seq, b) if b_seq else fn_core.geometric(b)
-    return fn_core.build_spec(a, freq, phases=phases or (), g=fn_core.base_function(g))
+    return fn_core.build_spec(a, fn_core.Frequencies(b, b_seq or ()), phases=phases or (),
+                              g=fn_core.base_function(g))
 
 
 class NumberList(click.ParamType):
@@ -181,6 +187,10 @@ def gen(**p):
 @output_option("boxdim.json")
 def boxdim(**p):
     """Box-counting dimension of graph(f) against the predicted value."""
+    csv_path = os.path.splitext(p["output"])[0] + ".csv"
+    if csv_path == p["output"]:
+        _config_error(f"output {csv_path} is also the path of the counts CSV; "
+                      "give the JSON another suffix")
     with _preconditions():
         spec = _spec(**p)
         scales = [2.0 ** -k for k in range(p["min_scale_exp"], p["max_scale_exp"] + 1)]
@@ -194,7 +204,6 @@ def boxdim(**p):
                "seed": p["seed"], "seeds": p["seeds"]}
     payload.update(est.to_json_dict())
     _write_json(p["output"], payload)
-    csv_path = os.path.splitext(p["output"])[0] + ".csv"
     est.write_counts_csv(csv_path)
     click.echo(f"slope {est.slope:.4f} vs predicted {est.predicted_d:.4f}; "
                f"wrote {p['output']} and {csv_path}")

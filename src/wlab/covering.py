@@ -187,12 +187,13 @@ def cover_count(s: GridSet, delta: float) -> int:
     A square counts for a marked cell when they overlap by more than
     1e-9 of a square's side, so a square edge that lands on a cell edge,
     up to the rounding of delta, adds no square on either side of it.
-    delta below the bitmap cell size would pretend to sub-cell knowledge, so
-    it is an error.
+    delta below the bitmap cell size would pretend to sub-cell knowledge, and
+    above 1 the squares outgrow the unit square, so both are errors, as is nan.
     """
     m = s.resolution
-    if delta < 1.0 / m:
-        raise ValueError(f"delta {delta} finer than the grid resolution 1/{m}")
+    if not 1.0 / m <= delta <= 1.0:
+        raise ValueError(f"delta must lie in [1/{m}, 1], from the grid resolution to the "
+                         f"unit square, got {delta}")
     iy, ix = np.divmod(np.flatnonzero(s.bits), m)   # one flat scan: the order of np.nonzero
     if len(ix) == 0:
         return 0
@@ -224,9 +225,7 @@ def _membership_index(spec: FunctionSpec, level: int, centers: np.ndarray,
 
 def _level_cap(spec: FunctionSpec, n: int, resolution: int) -> int:
     """Largest level <= n with at least CELLS_PER_OSCILLATION cells per wave; warns if below n."""
-    cap = n
-    if spec.freq.max_order is not None:
-        cap = min(cap, spec.freq.max_order - 1)
+    cap = min(n, spec.freq.max_order - 1)
     for j in range(1, cap + 1):
         if spec.freq.value(j) > resolution / CELLS_PER_OSCILLATION:
             cap = j - 1

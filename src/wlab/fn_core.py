@@ -1,7 +1,7 @@
 """Random high-frequency trigonometric series: specs, coefficient draws, evaluation.
 
 The object of study is f(x) = sum_n c_n g(b_n x + theta_n) with |c_n| <= a^n
-drawn uniformly, frequencies growing at least geometrically, and g a smooth
+drawn uniformly, frequencies with ratios b_(n+1) / b_n >= b > 1, and g a smooth
 periodic base function.  Everything here is a pure function of (spec, seed,
 inputs).  Every float b_n, theta_n and x is dyadic, so one integer rule
 reduces b_n x + theta_n modulo 1 for every spec: the phase is added exactly
@@ -129,70 +129,54 @@ def _rational_power(b: float, n: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class GeometricFrequencies:
-    """b_n = b^n for a fixed ratio b > 1."""
+class Frequencies:
+    """b_n = b^n for an empty b_seq, else b_n = b_seq[n] for n < len(b_seq), as floats.
+
+    A b_seq starts at 1 with ratios b_(n+1) / b_n >= b > 1, so b is its
+    ratio floor; for b^n it is also the ratio limit the dimension theorem
+    needs.  max_order, the number of b_n, is len(b_seq), or inf for b^n.
+    """
 
     b: float
+    b_seq: tuple = ()
 
     def __post_init__(self):
-        if not 1.0 < self.b < math.inf:
-            raise ValueError(f"frequency ratio must be finite and exceed 1, got {self.b}")
-
-    @property
-    def is_integer(self) -> bool:
-        return float(self.b).is_integer()
-
-    @property
-    def max_order(self):
-        return None
-
-    def value(self, n: int):
-        """Exact b_n (int for integer b, Fraction otherwise)."""
-        if self.is_integer:
-            return int(self.b) ** n
-        return _rational_power(self.b, n)
-
-
-@dataclass(frozen=True)
-class ExplicitFrequencies:
-    """User-supplied b_0 = 1 < b_1 < ... with consecutive ratios >= b > 1."""
-
-    b_seq: tuple
-    b: float
-
-    def __post_init__(self):
-        seq = _finite("b_seq entries", self.b_seq)
+        b, seq = float(self.b), _finite("b_seq entries", self.b_seq)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "b_seq", seq)
-        if not 1.0 < self.b < math.inf:
-            raise ValueError(f"ratio lower bound must be finite and exceed 1, got {self.b}")
-        if not seq:
-            raise ValueError("b_seq must be nonempty")
-        if seq[0] != 1.0:
+        if not 1.0 < b < math.inf:
+            raise ValueError(f"frequency ratio must be finite and exceed 1, got {b}")
+        if seq and seq[0] != 1.0:
             raise ValueError(f"b_seq must start at 1, got {seq[0]}")
         for n in range(len(seq) - 1):
-            if not seq[n + 1] >= self.b * seq[n]:
-                raise ValueError(
-                    f"b_seq ratio {seq[n + 1]}/{seq[n]} at index {n} below bound {self.b}"
-                )
+            if not seq[n + 1] >= b * seq[n]:
+                raise ValueError(f"b_seq ratio {seq[n + 1]}/{seq[n]} at index {n} below bound {b}")
 
     @property
-    def max_order(self) -> int:
-        return len(self.b_seq)
+    def max_order(self) -> int | float:
+        return len(self.b_seq) if self.b_seq else math.inf
 
     def value(self, n: int):
         """Exact b_n (int or Fraction); ValueError past the explicit frequencies."""
+        if not self.b_seq:
+            return int(self.b) ** n if self.b.is_integer() else _rational_power(self.b, n)
         if not 0 <= n < len(self.b_seq):
             raise ValueError(f"level {n} is past the {len(self.b_seq)} explicit frequencies")
         v = self.b_seq[n]
         return int(v) if v.is_integer() else Fraction(v)
 
 
-def geometric(b: float) -> GeometricFrequencies:
-    return GeometricFrequencies(b=float(b))
+def geometric(b: float) -> Frequencies:
+    """b_n = b^n."""
+    return Frequencies(b)
 
 
-def explicit(b_seq, b: float) -> ExplicitFrequencies:
-    return ExplicitFrequencies(b_seq=tuple(b_seq), b=float(b))
+def explicit(b_seq, b: float) -> Frequencies:
+    """b_n = b_seq[n], with ratios at least b; a ValueError for an empty b_seq."""
+    b_seq = tuple(b_seq)
+    if not b_seq:
+        raise ValueError("b_seq must be nonempty")
+    return Frequencies(b, b_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +192,7 @@ class FunctionSpec:
     """
 
     a: float
-    freq: GeometricFrequencies | ExplicitFrequencies
+    freq: Frequencies
     phases: tuple = ()
     g: BaseFunction = COS
     ab_gt1: bool = field(init=False, default=False)
@@ -223,11 +207,8 @@ class FunctionSpec:
         theta_zero = all(t == 0.0 for t in self.phases)
         object.__setattr__(self, "ab_gt1", self.a * b > 1.0)
         object.__setattr__(self, "a2b_gt1", self.a * self.a * b > 1.0)
-        object.__setattr__(
-            self,
-            "b_integer_theta_zero",
-            isinstance(self.freq, GeometricFrequencies) and self.freq.is_integer and theta_zero,
-        )
+        object.__setattr__(self, "b_integer_theta_zero",
+                           not self.freq.b_seq and b.is_integer() and theta_zero)
 
     def phase(self, n: int) -> float:
         return self.phases[n] if n < len(self.phases) else 0.0
@@ -242,11 +223,11 @@ class FunctionSpec:
             "a2b_gt1": self.a2b_gt1,
             "b_integer_theta_zero": self.b_integer_theta_zero,
         }
-        if isinstance(self.freq, GeometricFrequencies):
-            d["freq_mode"] = "geometric"
-        else:
+        if self.freq.b_seq:
             d["freq_mode"] = "explicit"
             d["b_seq"] = list(self.freq.b_seq)
+        else:
+            d["freq_mode"] = "geometric"
         return d
 
 
@@ -335,9 +316,8 @@ def default_tolerance(spec: FunctionSpec) -> float:
 
 def effective_order(spec: FunctionSpec, tol: float | None = None) -> int:
     """Truncation order for tol (default: default_tolerance), capped at freq.max_order."""
-    order = truncation_order(spec, default_tolerance(spec) if tol is None else tol)
-    max_order = spec.freq.max_order
-    return order if max_order is None else min(order, max_order)
+    return min(truncation_order(spec, default_tolerance(spec) if tol is None else tol),
+               spec.freq.max_order)
 
 
 def tail_bound(spec: FunctionSpec, order: int) -> float:
@@ -638,9 +618,8 @@ def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> lis
         if order > draw.order:
             raise ValueError(f"order {order} exceeds draw.order {draw.order}: "
                              "the draw has too few coefficients")
-    max_order = spec.freq.max_order
-    if max_order is not None and order > max_order:
-        raise ValueError(f"order {order} exceeds the {max_order} explicit frequencies")
+    if order > spec.freq.max_order:
+        raise ValueError(f"order {order} exceeds the {spec.freq.max_order} explicit frequencies")
     rows = [np.zeros(xs.size) for _ in draws]
     terms = {n: [(row, d.values[n]) for row, d in zip(rows, draws) if d.values[n] != 0.0]
              for n in range(order)}

@@ -120,6 +120,12 @@ def _symmetric_profile(pos: list, du: float) -> FourierProfile:
     return FourierProfile(us=us, values=values)
 
 
+def _check_finite_positive(name: str, value: float) -> None:
+    """ValueError naming a du or u_max that is not finite and positive."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def char_function_profile(sample: GraphSample, du: float, u_max: float) -> FourierProfile:
     """Symmetric uniform-grid profile via the recurrence exp(i k du y) = z^k.
 
@@ -127,8 +133,8 @@ def char_function_profile(sample: GraphSample, du: float, u_max: float) -> Fouri
     drift is ~ steps * eps.  Negative frequencies are the exact conjugates
     (same quadrature nodes), so only u >= 0 is computed.
     """
-    if not du > 0.0 or not u_max > 0.0:
-        raise ValueError("du and u_max must be positive")
+    _check_finite_positive("du", du)
+    _check_finite_positive("u_max", u_max)
     n_steps = int(math.ceil(u_max / du - 1e-12))
     w = np.exp(1j * du * sample.ys)
     pos = []
@@ -151,10 +157,11 @@ def adaptive_char_profile(sample: GraphSample, du: float, decay_target: float = 
 
     The range starts at u = 64 and doubles up to 4096.  Returns (profile,
     reached: bool); reached is False when 4096 was hit with the tail still
-    above the target.  A target that check_decay_target rejects is a
-    ValueError.
+    above the target.  A target that check_decay_target rejects, or a du
+    that is not finite and positive, is a ValueError.
     """
     check_decay_target(decay_target)
+    _check_finite_positive("du", du)
     n_steps = int(math.ceil(_U_START / du))
     w = np.exp(1j * du * sample.ys)
     z = np.ones_like(w)

@@ -4,7 +4,7 @@ import warnings
 import pytest
 from click.testing import CliRunner
 
-from wlab import fn_core
+from wlab import acceptance, dimension, fn_core
 from wlab.cli import main
 from wlab.covering import intersection_sequence, near_level_set
 
@@ -102,7 +102,7 @@ def test_boxdim_precondition_exit(runner, tmp_path):
 ], ids=["energy-pairs", "energy-seeds", "boxdim-seeds", "occ-bins",
         "occ-decay-nan", "occ-decay-0", "occ-decay-neg"])
 def test_scan_sizes_it_cannot_use_exit_3(runner, tmp_path, args, named):
-    out = tmp_path / "out.csv"
+    out = tmp_path / "out"   # no .csv: boxdim would reject it as the path of its counts CSV
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = runner.invoke(main, args + ["--output", str(out)])
@@ -141,7 +141,7 @@ def test_occ_checks_decay_target_before_sampling(runner, tmp_path, monkeypatch, 
 def test_bad_spec_exits_3_before_any_work(runner, tmp_path, args, named):
     out = tmp_path / "out"
     out.mkdir()
-    result = runner.invoke(main, args + ["--output", str(out / "result.csv")])
+    result = runner.invoke(main, args + ["--output", str(out / "result")])   # no .csv, as above
     assert result.exit_code == 3, result.output
     errors = [line for line in result.output.splitlines() if "error" in line.lower()]
     assert len(errors) == 1 and errors[0].startswith("error: ") and named in errors[0], errors
@@ -341,31 +341,52 @@ def test_threads_env_fallback(runner, tmp_path):
     assert len(doc["seed_slopes"]) == 2
 
 
-def _assert_missing_dir_error(result):
+def _assert_config_error(result, named="does not exist"):
     assert result.exit_code == 2, result.output
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.output
-    assert "does not exist" in lines[0]
+    assert named in lines[0]
 
 
 def test_gen_output_in_missing_directory_is_a_config_error(runner, tmp_path):
     result = runner.invoke(main, ["gen", "--points", "16",
                                   "--output", str(tmp_path / "missing" / "g.csv")])
-    _assert_missing_dir_error(result)
+    _assert_config_error(result)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_cover_pbm_output_in_missing_directory_leaves_nothing(runner, tmp_path):
     result = runner.invoke(main, ["cover", "--resolution", "128", "--n-max", "3", "--pbm",
                                   "--output", str(tmp_path / "missing" / "c.csv")])
-    _assert_missing_dir_error(result)
+    _assert_config_error(result)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_all_report_in_missing_directory_is_a_config_error(runner, tmp_path):
     result = runner.invoke(main, ["verify-all", "--profile", "quick", "--criteria", "3",
                                   "--report", str(tmp_path / "missing" / "r.json")])
-    _assert_missing_dir_error(result)
+    _assert_config_error(result)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, work", [
+    (["gen", "--points", "16", "--output"], (fn_core, "sample_graph")),
+    (["verify-all", "--profile", "quick", "--criteria", "3", "--report"], (acceptance, "run_all")),
+], ids=["gen", "verify-all"])
+def test_output_that_is_a_directory_is_a_config_error(runner, tmp_path, monkeypatch, args, work):
+    # it failed with an IsADirectoryError traceback (exit 1) after all the work
+    monkeypatch.setattr(*work, lambda *a, **k: pytest.fail("work started"))
+    result = runner.invoke(main, args + [str(tmp_path)])
+    _assert_config_error(result, f"output {tmp_path} is a directory")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_boxdim_output_that_is_its_counts_csv_is_a_config_error(runner, tmp_path, monkeypatch):
+    # the counts CSV overwrote the JSON at the same path, and the run exited 0
+    monkeypatch.setattr(dimension, "box_dimension_scan", lambda *a, **k: pytest.fail("work started"))
+    out = tmp_path / "counts.csv"
+    result = runner.invoke(main, ["boxdim", "--seeds", "2", "--output", str(out)])
+    _assert_config_error(result, f"output {out} is also the path of the counts CSV")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -220,6 +220,14 @@ def test_cover_count_rejects_subcell_delta():
         cover_count(_full(16), 1.0 / 32.0)
 
 
+@pytest.mark.parametrize("delta", [2.0, 1e10, math.inf, math.nan])
+def test_cover_count_rejects_delta_past_the_unit_square(delta):
+    # a square wider than 1e9 got a 0 x 0 hit array and an IndexError
+    assert cover_count(_full(16), 1.0) == 1
+    with pytest.raises(ValueError, match=f"delta must lie in \\[1/16, 1\\].*got {delta}"):
+        cover_count(_full(16), delta)
+
+
 @pytest.mark.parametrize("m, cell, delta", [(100, 29, 0.3), (100, 89, 0.3), (1458, 729, 0.25), (24, 23, 1.0 / 3)])
 def test_cover_count_square_edge_on_a_cell_edge(m, cell, delta):
     # the cell ends (or starts) where a square does, up to the rounding of

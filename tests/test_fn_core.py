@@ -176,6 +176,8 @@ def test_build_spec_rejects_bad_amplitude():
 
 
 def test_explicit_frequencies_validated():
+    with pytest.raises(ValueError, match="b_seq must be nonempty"):
+        explicit([], 2.0)   # Frequencies(2.0, ()) is b^n
     with pytest.raises(ValueError, match="start at 1"):
         explicit([2.0, 4.0], 2.0)
     with pytest.raises(ValueError, match="below bound"):
@@ -189,7 +191,7 @@ def test_explicit_frequencies_validated():
     (lambda: geometric(math.nan), "got nan"),
     (lambda: explicit([1.0, math.inf], 2.0), "b_seq entries must be finite, got inf"),
     (lambda: explicit([1.0, 2.0, math.nan], 2.0), "b_seq entries must be finite, got nan"),
-    (lambda: explicit([1.0, 4.0], math.inf), "ratio lower bound must be finite"),
+    (lambda: explicit([1.0, 4.0], math.inf), "frequency ratio must be finite and exceed 1, got inf"),
     (lambda: build_spec(0.8, geometric(2.0), phases=(0.1, -math.inf)),
      "phases must be finite, got -inf"),
     (lambda: build_spec(0.8, geometric(2.0), phases=(math.nan,)), "phases must be finite, got nan"),
@@ -209,6 +211,24 @@ def test_flags_not_user_settable():
 def test_nonzero_phases_clear_integer_flag():
     spec = build_spec(0.8, geometric(2.0), phases=(0.0, 0.3))
     assert not spec.b_integer_theta_zero
+
+
+def test_to_dict_pins_every_key_of_both_frequency_kinds():
+    # b is written as a float, whatever number type it was given as
+    geo = build_spec(0.8, geometric(3)).to_dict()
+    assert geo == {"a": 0.8, "b": 3.0, "g": "cos", "phases": [], "ab_gt1": True,
+                   "a2b_gt1": True, "b_integer_theta_zero": True, "freq_mode": "geometric"}
+    assert type(geo["b"]) is float
+    seq = build_spec(0.5, explicit([1, 3, 9.5], 3), phases=(0.25, 0.0),
+                     g=COS_PLUS_HALF).to_dict()
+    assert seq == {"a": 0.5, "b": 3.0, "g": "cos2", "phases": [0.25, 0.0], "ab_gt1": True,
+                   "a2b_gt1": False, "b_integer_theta_zero": False, "freq_mode": "explicit",
+                   "b_seq": [1.0, 3.0, 9.5]}
+    assert [type(v) for v in seq["b_seq"]] == [float] * 3
+    # an integer b_seq without phases is still no b^n with integer b
+    integer_seq = build_spec(0.8, explicit([1, 3, 9], 3)).to_dict()
+    assert integer_seq["b_integer_theta_zero"] is False
+    assert integer_seq["freq_mode"] == "explicit" and integer_seq["b_seq"] == [1.0, 3.0, 9.0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +421,7 @@ def test_reduction_exact_for_every_finite_x(xs, freq, n, theta):
     # all reduce to the exact (b_n x + theta) mod 1, rounded once, in [0, 1)
     spec = build_spec(0.9, freq, phases=[0.0] * n + [theta])
     got = fn_core.reduced_arguments(spec, n, xs)
-    b = Fraction(freq.b) ** n if freq.max_order is None else Fraction(freq.b_seq[n])
+    b = Fraction(freq.b_seq[n]) if freq.b_seq else Fraction(freq.b) ** n
     for x, r in zip(xs, got):
         want = float((b * Fraction(x) + Fraction(theta)) % 1)
         assert r == want % 1.0, (x, r, want)
@@ -705,7 +725,7 @@ def test_lattice_lookup_keeps_the_bits_of_the_reduction(freq, phases, g, kind, p
     xs = _lattice_xs(kind, p, np.random.default_rng(seed))
     bits = fn_core._fraction_bits(xs)
     digits = fn_core._lattice_digits(xs, bits, 63)
-    max_order = freq.max_order or bits + 3
+    max_order = len(freq.b_seq) or bits + 3
     for n in sorted(set(range(24)) | set(range(max(0, bits - 20), bits + 3))):
         if n >= max_order:
             continue
@@ -978,7 +998,7 @@ def test_lane_levels_keep_the_bits_of_the_reduction(freq, phases, g, kind, p, th
     bits = fn_core._fraction_bits(xs)
     assert (bits <= 63) == (kind != "fine")
     assert bits == max((Fraction(x).denominator.bit_length() - 1 for x in xs), default=0)
-    order = freq.max_order or 96
+    order = len(freq.b_seq) or 96
     reduce, general, levels = fn_core.reduced_arguments, [], {}
 
     def counted(spec, n, xs):

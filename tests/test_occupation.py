@@ -174,6 +174,21 @@ def test_adaptive_profile_rejects_a_target_it_cannot_meet(target):
         adaptive_char_profile(s, du=0.5, decay_target=target)
 
 
+@pytest.mark.parametrize("du", [0.0, -1.0, math.inf, math.nan])
+def test_profiles_reject_a_step_that_is_not_finite_and_positive(du):
+    s = _line_sample(1000)
+    for build in (lambda: adaptive_char_profile(s, du=du),
+                  lambda: char_function_profile(s, du=du, u_max=8.0)):
+        with pytest.raises(ValueError, match=f"du must be finite and positive, got {du}"):
+            build()
+
+
+@pytest.mark.parametrize("u_max", [0.0, math.inf, math.nan])
+def test_uniform_profile_rejects_a_range_that_is_not_finite_and_positive(u_max):
+    with pytest.raises(ValueError, match=f"u_max must be finite and positive, got {u_max}"):
+        char_function_profile(_line_sample(1000), du=0.5, u_max=u_max)
+
+
 # ---------------------------------------------------------------------------
 # Parseval
 # ---------------------------------------------------------------------------

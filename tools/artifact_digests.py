@@ -1,7 +1,8 @@
 """Print a SHA-256 digest of every artifact wlab writes, for byte-identity checks.
 
 Runs each CLI command at its defaults (plus a non-integer b, an explicit
-frequency sequence with phases, a phased gen on integer b, a phased cover,
+frequency sequence with phases, as a CSV and as JSON, whose spec dict holds
+freq_mode "explicit" and the b_seq, a phased gen on integer b, a phased cover,
 a phased cover on b = 2.5 with PBMs, whose cell indices do not tile the
 grid, a cos2 cover with PBMs,
 a boxdim of 40 draws at m = 2^17 + 1, whose rows span two draw groups,
@@ -69,6 +70,8 @@ RUNS = [
     ["gen", "--b", "2.5", "--output", "gen_b2.5.csv"],
     ["gen", "--g", "cos2", "--b-seq", B_SEQ, "--b", "2.5", "--phases", PHASES,
      "--output", "gen_bseq.csv"],
+    ["gen", "--format", "json", "--g", "cos2", "--b-seq", B_SEQ, "--b", "2.5", "--phases", PHASES,
+     "--output", "gen_bseq.json"],
     ["gen", "--phases", PHASES, "--output", "gen_phases.csv"],
     ["boxdim", "--output", "boxdim.json"],
     ["boxdim", "--seeds", "40", "--m", "131073", "--output", "boxdim_groups.json"],
