@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import sys
 
 import click
@@ -70,15 +71,32 @@ def _config_error(message: str):
     sys.exit(CONFIG_EXIT)
 
 
+def _check_not_directory(*paths: str) -> None:
+    """Exit 2 before any work when a path a command will write is a directory."""
+    for path in paths:
+        if os.path.isdir(path):
+            _config_error(f"output {path} is a directory")
+
+
 def _check_output_dir(ctx: click.Context, param, path: str | None) -> str | None:
     """Exit 2 before any work when an output path is a directory or its directory is missing."""
     if path is not None:
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             _config_error(f"output directory {parent} does not exist")
-        if os.path.isdir(path):
-            _config_error(f"output {path} is a directory")
+        _check_not_directory(path)
     return path
+
+
+def _level_pbms(base: str, n_max: int) -> list:
+    """The paths <base>_level<n>.pbm with n <= n_max that exist already, in name order.
+
+    Read from the directory, since n_max has no upper bound to build names from.
+    """
+    folder, stem = os.path.split(base)
+    name = re.compile(re.escape(stem) + r"_level(0|[1-9][0-9]*)\.pbm")
+    return [os.path.join(folder, f) for f in sorted(os.listdir(folder or "."))
+            if (hit := name.fullmatch(f)) and int(hit[1]) <= n_max]
 
 
 def _enter_threads(ctx: click.Context, param, n: int) -> None:
@@ -191,6 +209,7 @@ def boxdim(**p):
     if csv_path == p["output"]:
         _config_error(f"output {csv_path} is also the path of the counts CSV; "
                       "give the JSON another suffix")
+    _check_not_directory(csv_path)
     with _preconditions():
         spec = _spec(**p)
         scales = [2.0 ** -k for k in range(p["min_scale_exp"], p["max_scale_exp"] + 1)]
@@ -240,18 +259,19 @@ def energy(**p):
 @output_option("density.csv")
 def occ(**p):
     """Occupation density, its L2 norm, and the Parseval cross-check."""
+    parseval_path = os.path.splitext(p["output"])[0] + "_parseval.json"
+    _check_not_directory(parseval_path)
     with _preconditions():
         spec = _spec(**p)
         occupation.check_decay_target(p["decay_target"])   # before the sampling, not after it
-        draw = fn_core.draw_coefficients(spec, p["seed"], max(fn_core.effective_order(spec), 1))
+        draw = fn_core.draw_coefficients(spec, p["seed"], fn_core.effective_order(spec))
         sample = fn_core.sample_graph(spec, draw, p["samples"])
         dens = occupation.occupation_histogram(sample, p["bins"])
         profile, reached = occupation.adaptive_char_profile(
             sample, du=occupation.fourier_step(dens), decay_target=p["decay_target"])
         report = occupation.parseval_check(dens, profile)
     dens.write_csv(p["output"])
-    base = os.path.splitext(p["output"])[0]
-    _write_json(base + "_parseval.json", {
+    _write_json(parseval_path, {
         "schema": "wlab.parseval/1",
         "spec": spec.to_dict(),
         "seed": p["seed"],
@@ -259,7 +279,7 @@ def occ(**p):
         **report.to_json_dict(),
     })
     click.echo(f"l2_sq={dens.l2_sq:.5f} parseval_discrepancy={report.discrepancy:.4f}; "
-               f"wrote {p['output']} and {base}_parseval.json")
+               f"wrote {p['output']} and {parseval_path}")
 
 
 @main.command()
@@ -274,6 +294,8 @@ def occ(**p):
 def cover(**p):
     """Near-level set of g, its iterated intersections, and their decay."""
     base = os.path.splitext(p["output"])[0]
+    if p["pbm"]:
+        _check_not_directory(*_level_pbms(base, p["n_max"]))
     written = []
 
     def write_level(n, s):

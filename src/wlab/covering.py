@@ -316,8 +316,13 @@ def shrink_rate_bound(n_squares: int, delta: float, ratio: float,
         rate = n_squares * delta ** 2
         depth = 1
     elif mode == "general":
-        depth = 1
-        while ratio ** depth <= 2.0 / delta:
+        # the least depth >= 1 with ratio^depth > 2/delta: from logarithms, then settled
+        # by that float comparison, with no step per power of a ratio near 1
+        bound = 2.0 / delta
+        depth = max(1, math.floor(math.log(bound) / math.log(ratio)) + 1)
+        while depth > 1 and ratio ** (depth - 1) > bound:
+            depth -= 1
+        while ratio ** depth <= bound:
             depth += 1
         rate = (n_squares * (delta + 2.0 / ratio ** depth) ** 2) ** (1.0 / depth)
     else:

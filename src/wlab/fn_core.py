@@ -382,6 +382,8 @@ def reduced_arguments(spec: FunctionSpec, n: int, xs) -> np.ndarray:
     else:   # the lane on X = m 2^(e + 63 - k) = x 2^(63 - k); its step exists for every b_n
         digits = m.view(np.uint64) << _clamp(e + (_BITS - k), _BITS).astype(np.uint64)
         t = _lane_arguments(digits, _lattice_step(*ratios, _BITS - k, _BITS))
+        # per point: 63 points of linspace(0, 1, 2^17)'s first block are wide, and the int
+        # rule on the whole block made sample_graph 0.11 -> 0.71 s at b = 3 (2-vCPU Xeon)
         wide = e < k - _BITS
         if wide.any():
             t[wide] = _wide_lane(m[wide], e[wide], b_num, k, t_num, kt)
@@ -389,53 +391,41 @@ def reduced_arguments(spec: FunctionSpec, n: int, xs) -> np.ndarray:
     return t
 
 
-def _fraction_bits(xs: np.ndarray) -> float:
-    """The most binary fraction digits of any x in xs: 0 for integers, +-0 and no x, inf with a nan or inf.
+def _block_digits(xs: np.ndarray) -> tuple:
+    """(p, X): the most binary fraction digits p of any x in xs, and X = x 2^p mod 2^63 as int64.
 
-    So b_n x is an integer for every x in xs exactly when 2^fraction_bits divides b_n.
-    """
-    if not np.isfinite(xs).all():
-        return math.inf
-    if not xs.size:
-        return 0
-    m, e = np.frexp(xs)
-    m *= 2.0 ** 53
-    mant = m.astype(np.int64).view(np.uint64)   # x = mant 2^(e - 53)
-    del m
-    mant ^= mant - np.uint64(1)                 # trailing zeros + 1 low bits set; all 64 for x = 0
-    return max(0, 54 - int((np.bitwise_count(mant) + e).min()))
-
-
-def _lattice_digits(xs: np.ndarray, bits: int, width: int) -> np.ndarray:
-    """X = x 2^bits mod 2^width as int64 for each x of xs, where no x has more than bits fraction digits.
-
-    width is at most 63.  Exact for every finite x: x 2^bits = d 2^e with d
-    the integer mantissa, and d's low zero bits cover a right shift, so the
-    arithmetic shift of a negative d is exact too; a left shift by width or
+    p is 0 for integers, +-0 and no x, so b_n x is an integer for every x
+    in xs exactly when 2^p divides b_n; with a nan or inf it is inf, and X
+    is None.  One split of each x: x 2^p = d 2^e with d the integer
+    mantissa, whose low zero bits give p and cover a right shift, so the
+    arithmetic shift of a negative d is exact too; a left shift by 63 or
     more leaves 0.
     """
+    if not np.isfinite(xs).all():
+        return math.inf, None
     m, e = np.frexp(xs)
     m *= 2.0 ** 53
-    d = m.astype(np.int64)
+    d = m.astype(np.int64)      # x = d 2^(e - 53)
     del m
-    e += bits - 53
-    d >>= _clamp(-e, 63)
-    mask = np.uint64((1 << width) - 1)
     u = d.view(np.uint64)       # two's complement: the residue of a negative d too
-    u &= mask
-    u <<= _clamp(e, width).view(np.uintc)   # frexp's exponents are C ints
-    u &= mask
-    return d
+    low = u ^ (u - np.uint64(1))   # trailing zeros + 1 low bits set; all 64 for x = 0
+    p = max(0, 54 - int((np.bitwise_count(low) + e).min())) if xs.size else 0
+    e += p - 53
+    d >>= _clamp(-e, 63)
+    u <<= _clamp(e, _BITS).view(np.uintc)   # frexp's exponents are C ints
+    u &= np.uint64(_MASK)
+    return p, d
 
 
 def _lattice_step(b_ratio: tuple, t_ratio: tuple, bits, width: int) -> tuple | None:
     """(F, T) with (b_n x + theta_n) mod 1 = ((X F + T) mod 2^width) / 2^width, or None.
 
     b_n = B / 2^k and theta_n = t / 2^kt are given as (B, k) and (t, kt),
-    and X = x 2^bits mod 2^width (see _lattice_digits) for an x with at
-    most bits fraction digits.  The reduced arguments of such x lie on the
-    lattice 2^-max(bits - v2(b_n), kt); where that lattice divides
-    2^-width, F and T are integers, and None is returned where it does not.
+    and X = x 2^bits mod 2^width for an x with at most bits fraction
+    digits (_block_digits splits it at width 63).  The reduced arguments
+    of such x lie on the lattice 2^-max(bits - v2(b_n), kt); where that
+    lattice divides 2^-width, F and T are integers, and None is returned
+    where it does not.
     (F, T) reads only X mod 2^width, so X may be split at a greater width.
     At bits = 63 - k and width = 63 there is a step for every b_n with
     kt <= 63: the factor and offset of the uint64 lane of reduced_arguments.
@@ -548,9 +538,9 @@ def _level_pass(spec: FunctionSpec, xs: np.ndarray, levels: list, consume) -> No
     block holds whole pairs (xs[2i], xs[2i + 1]).  Per block, consume is
     called for each level of levels in order; s is a fresh array, or one
     float where the level is constant on the block.  With p the block's
-    most binary fraction digits and X = x 2^p mod 2^63, split from each x
-    at most once per block, a level is the first of four kinds that
-    applies:
+    most binary fraction digits and X = x 2^p mod 2^63, both from one
+    split of the block (_block_digits), a level is the first of four kinds
+    that applies:
 
     - constant, where 2^p divides b_n, so b_n x is an integer at every x
       of the block (as for even b from some n on): s is g at the reduced
@@ -577,12 +567,9 @@ def _level_pass(spec: FunctionSpec, xs: np.ndarray, levels: list, consume) -> No
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
             block = xs[start:stop]
-            bits = _fraction_bits(block)
-            digits = None   # X, split at need
+            bits, digits = _block_digits(block)
             for n in levels:
                 kind, step = _level_steps(spec, n, bits)
-                if digits is None and kind in ("table", "lane"):
-                    digits = _lattice_digits(block, bits, _BITS)
                 if kind == "constant":
                     s = step
                 elif kind == "table":

@@ -4,7 +4,7 @@ import warnings
 import pytest
 from click.testing import CliRunner
 
-from wlab import acceptance, dimension, fn_core
+from wlab import acceptance, covering, dimension, fn_core
 from wlab.cli import main
 from wlab.covering import intersection_sequence, near_level_set
 
@@ -388,6 +388,24 @@ def test_boxdim_output_that_is_its_counts_csv_is_a_config_error(runner, tmp_path
     result = runner.invoke(main, ["boxdim", "--seeds", "2", "--output", str(out)])
     _assert_config_error(result, f"output {out} is also the path of the counts CSV")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, companion, work", [
+    (["boxdim", "--seeds", "2", "--output", "x.json"], "x.csv", (dimension, "box_dimension_scan")),
+    (["occ", "--samples", "65536", "--output", "d.csv"], "d_parseval.json",
+     (fn_core, "sample_graph")),
+    (["cover", "--resolution", "128", "--n-max", "3", "--pbm", "--output", "cover.csv"],
+     "cover_level2.pbm", (covering, "near_level_set")),
+], ids=["boxdim", "occ", "cover"])
+def test_companion_output_that_is_a_directory_is_a_config_error(runner, tmp_path, monkeypatch,
+                                                                args, companion, work):
+    # each did its work, wrote its first artifacts and then died with an
+    # IsADirectoryError traceback (exit 1) at the companion path
+    monkeypatch.setattr(*work, lambda *a, **k: pytest.fail("work started"))
+    (tmp_path / companion).mkdir()
+    result = runner.invoke(main, args[:-1] + [str(tmp_path / args[-1])])
+    _assert_config_error(result, f"output {tmp_path / companion} is a directory")
+    assert [p.name for p in tmp_path.iterdir()] == [companion]
 
 
 @pytest.mark.parametrize("command, files", [

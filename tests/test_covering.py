@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import mpmath as mp
@@ -546,6 +547,39 @@ def test_shrink_rate_depth_condition(delta, ratio):
     p = shrink_rate_bound(5, delta, ratio, mode="general")
     assert 2.0 / (delta * ratio ** p.depth) < 1.0
     assert p.depth == 1 or 1.0 <= 2.0 / (delta * ratio ** (p.depth - 1))
+
+
+def _loop_depth(delta, ratio):
+    # the depth rule as one step per power of the ratio
+    depth = 1
+    while ratio ** depth <= 2.0 / delta:
+        depth += 1
+    return depth
+
+
+@pytest.mark.filterwarnings("ignore:shrink rate")
+def test_shrink_rate_depth_and_rate_match_the_power_loop():
+    # exact powers included: ratio 2 against delta 2^-j puts 2/delta on a power of the ratio
+    ratios = [2.0, 4.0, 3.0, 1.5, 2.5, 10.0, 1.01, 1.001, 1.0 + 2.0 ** -10, 1e300, math.inf]
+    deltas = [2.0 ** -j for j in range(1, 40)] + [0.1, 0.05, 0.3, 0.999, 1e-9, 1e-100]
+    for ratio in ratios:
+        for delta in deltas:
+            depth = _loop_depth(delta, ratio)
+            want = (5 * (delta + 2.0 / ratio ** depth) ** 2) ** (1.0 / depth)
+            p = shrink_rate_bound(5, delta, ratio, mode="general")
+            assert (p.depth, p.rate) == (depth, want), (ratio, delta)
+
+
+@pytest.mark.filterwarnings("ignore:shrink rate")
+def test_shrink_rate_depth_near_one_returns_at_once():
+    # the loop took 2.8 s at 1 + 1e-7 (depth 29,957,325), and did not end in 20 s at 1 + 1e-12
+    start = time.perf_counter()
+    p = shrink_rate_bound(5, 0.1, 1.0 + 1e-7, mode="general")
+    assert time.perf_counter() - start < 0.5
+    assert p.depth == 29_957_325
+    for ratio in (1.0 + 1e-7, 1.0 + 1e-12, 1.0 + 2.0 ** -52):
+        p = shrink_rate_bound(5, 0.1, ratio, mode="general")
+        assert ratio ** p.depth > 2.0 / 0.1 >= ratio ** (p.depth - 1)
 
 
 def test_shrink_rate_small_delta_limit():

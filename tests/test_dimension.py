@@ -316,7 +316,7 @@ def test_lattice_truncation_is_exact_and_in_place(us):
     for v, w in zip(us, u.tolist(), strict=True):
         assert Fraction(w) == math.floor(Fraction(v) / step) * step
         assert 0 <= Fraction(v) - Fraction(w) < step
-    assert fn_core._fraction_bits(u) <= 36
+    assert fn_core._block_digits(u)[0] <= 36
 
 
 def test_lattice_pairs_are_the_truncated_stream():
@@ -325,7 +325,7 @@ def test_lattice_pairs_are_the_truncated_stream():
     xy = dimension._lattice_pairs(5, "energy", 3, 1000)
     u = substream(5, "energy", 3).random(2000)
     assert np.array_equal(xy, np.floor(u * 2.0 ** 36) * 2.0 ** -36)
-    assert fn_core._fraction_bits(xy) == 36
+    assert fn_core._block_digits(xy)[0] == 36
 
 
 class _Scripted:
@@ -358,7 +358,7 @@ def test_pairs_equal_on_the_lattice_are_redrawn(j, low, redraw):
     assert not gen.draws
     want = [(redraw[0] >> 17) * 2.0 ** -36, 0.25, (redraw[1] >> 17) * 2.0 ** -36, 0.75]
     assert xy.tolist() == want
-    assert fn_core._fraction_bits(xy) <= 36
+    assert fn_core._block_digits(xy)[0] <= 36
 
 
 def test_pair_points_sample_g_at_19_levels_on_b2(monkeypatch):
@@ -392,7 +392,7 @@ def test_pair_points_take_the_lane_on_b25(monkeypatch):
     # levels 0-27 take the uint64 lane and level 28 is the first to reduce
     # in full (on 53-digit doubles the lane ended at level 10)
     spec = build_spec(0.8, geometric(2.5))
-    bits = fn_core._fraction_bits(dimension._lattice_pairs(1, "energy", 0, 1 << 15))
+    bits, _ = fn_core._block_digits(dimension._lattice_pairs(1, "energy", 0, 1 << 15))
     kinds = [fn_core._level_steps(spec, n, bits)[0] for n in range(29)]
     assert kinds == ["lane"] * 28 + ["general"]
     wide = []

@@ -339,7 +339,7 @@ def test_zero_draw_evaluates_to_zero(monkeypatch):
     # no level has a nonzero coefficient, so no block is walked
     spec = build_spec(0.8, geometric(2.0))
     xs = np.linspace(0, 1, 17)
-    monkeypatch.setattr(fn_core, "_fraction_bits", None)
+    monkeypatch.setattr(fn_core, "_block_digits", None)
     assert np.all(evaluate_many(spec, zero_draw(5), xs, 5) == 0.0)
 
 
@@ -559,23 +559,32 @@ def test_evaluate_many_temporaries_stay_below_two_outputs_on_a_dyadic_grid():
     assert peak < 2 * xs.nbytes, peak / xs.nbytes
 
 
+def _assert_block_digits(xs):
+    # p is the most fraction digits of any x, and X = x 2^p mod 2^63 (its
+    # uint64 view), both against Fractions
+    p, digits = fn_core._block_digits(np.array(xs, dtype=np.float64))
+    assert p == max((Fraction(x).denominator.bit_length() - 1 for x in xs), default=0)
+    assert digits.dtype == np.int64
+    assert digits.view(np.uint64).tolist() == [int(Fraction(x) * 2 ** p) % 2 ** 63 for x in xs]
+
+
 @given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
 @settings(max_examples=300, deadline=None)
 @example(xs=[0.0, -0.0, 1.0, -7.0, 2.0 ** 60, 1e308])
 @example(xs=[5e-324, 0.5])
 @example(xs=[-0.375, 3.0 * 2.0 ** -1074, 0.1])
+@example(xs=[-1e308, -(2.0 ** -1074), 2.0 ** -1022])
 def test_fraction_bits_match_the_dyadic_denominator(xs):
-    want = max(Fraction(x).denominator.bit_length() - 1 for x in xs)
-    assert fn_core._fraction_bits(np.array(xs)) == want
+    _assert_block_digits(xs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fraction_bits_are_infinite_with_a_non_finite_x(bad):
-    assert fn_core._fraction_bits(np.array([0.5, bad, 2.0])) == math.inf
+    assert fn_core._block_digits(np.array([0.5, bad, 2.0])) == (math.inf, None)
 
 
 def test_fraction_bits_of_no_x_are_zero():
-    assert fn_core._fraction_bits(np.array([])) == 0
+    _assert_block_digits([])
 
 
 def _constant_blocks_b_seq(length):
@@ -723,8 +732,7 @@ def test_lattice_lookup_keeps_the_bits_of_the_reduction(freq, phases, g, kind, p
     # reduced arguments; negative, subnormal and +-1e308 x included
     spec = build_spec(0.8, freq, phases=phases, g=g)
     xs = _lattice_xs(kind, p, np.random.default_rng(seed))
-    bits = fn_core._fraction_bits(xs)
-    digits = fn_core._lattice_digits(xs, bits, 63)
+    bits, digits = fn_core._block_digits(xs)
     max_order = len(freq.b_seq) or bits + 3
     for n in sorted(set(range(24)) | set(range(max(0, bits - 20), bits + 3))):
         if n >= max_order:
@@ -749,6 +757,35 @@ def test_lattice_lookup_keeps_the_bits_of_the_reduction(freq, phases, g, kind, p
         got = evaluate_many(spec, draw, xs, order)
     want = oracles.evaluate_levels(spec, draw, xs, order)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("a, b, general", [(0.5, 3.0, 31), (0.8, 2.0, 5)])
+def test_general_levels_take_the_int_rule_only_where_x_needs_it(monkeypatch, a, b, general):
+    # the first block of linspace(0, 1, 2^17) has 68 fraction digits, so all
+    # 31 levels of (0.5, 3) and levels 0-4 of (0.8, 2) reduce it in full;
+    # there only the 63 points past the uint64 lane take the rule on Python
+    # ints, never the whole block, and the sample keeps the oracle's bits
+    spec = build_spec(a, geometric(b))
+    order = fn_core.effective_order(spec)
+    draw = draw_coefficients(spec, 1, order)
+    xs = np.linspace(0.0, 1.0, 1 << 17)
+    bits, _ = fn_core._block_digits(xs[:fn_core._BLOCK])
+    assert bits == 68
+    kinds = [fn_core._level_steps(spec, n, bits)[0] for n in range(order)]
+    assert kinds[:general] == ["general"] * general and "general" not in kinds[general:]
+    wide = []
+    wide_lane = fn_core._wide_lane
+
+    def counted(m, *args):
+        wide.append(m.size)
+        return wide_lane(m, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fn_core, "_wide_lane", counted)
+        ys = sample_graph(spec, draw, xs.size).ys
+    assert wide == [63] * general
+    want = oracles.evaluate_levels(spec, draw, xs, order)
+    assert np.array_equal(ys.view(np.uint64), want.view(np.uint64))
 
 
 def test_grid_levels_of_odd_b_are_lookups(monkeypatch):
@@ -995,7 +1032,7 @@ def test_lane_levels_keep_the_bits_of_the_reduction(freq, phases, g, kind, p, th
     # the bits of g at reduced_arguments
     spec = build_spec(0.8, freq, phases=phases, g=g)
     xs = _lane_xs(kind, p, seed)
-    bits = fn_core._fraction_bits(xs)
+    bits, _ = fn_core._block_digits(xs)
     assert (bits <= 63) == (kind != "fine")
     assert bits == max((Fraction(x).denominator.bit_length() - 1 for x in xs), default=0)
     order = len(freq.b_seq) or 96
