@@ -15,15 +15,14 @@ from .fn_core import (
     GraphSample,
     base_function,
     build_spec,
-    default_tolerance,
     dimension_formula,
     draw_coefficients,
+    effective_order,
     evaluate_many,
     explicit,
     geometric,
     sample_graph,
     sample_graphs,
-    truncation_order,
     zero_draw,
 )
 from .covering import (

@@ -141,6 +141,7 @@ def criterion_2(profile: AcceptanceProfile) -> CriterionResult:
 
 def criterion_3(profile: AcceptanceProfile) -> CriterionResult:
     """Integer-ratio shrink rate equals N * delta^2 exactly on random inputs."""
+    spec = _weierstrass_spec()   # b = 2, zero phases: the integer rule applies
     rng = substream(3, "shrink-rate-inputs")
     exact = 0
     with warnings.catch_warnings():
@@ -148,7 +149,7 @@ def criterion_3(profile: AcceptanceProfile) -> CriterionResult:
         for _ in range(100):
             n = int(rng.integers(1, 1000))
             delta = float(rng.uniform(1e-3, 0.5))
-            params = covering.shrink_rate_bound(n, delta, 2.0, mode="integer_b")
+            params = covering.shrink_rate_bound(n, delta, spec)
             if params.rate == n * delta ** 2 and params.depth == 1:
                 exact += 1
     return CriterionResult(

@@ -184,8 +184,8 @@ def gen(**p):
     with _preconditions():
         spec = _spec(**p)
         order = fn_core.effective_order(spec, p["tol"])
-        draw = fn_core.draw_coefficients(spec, p["seed"], max(order, 1))
-        sample = fn_core.sample_graph(spec, draw, p["points"], p["tol"])
+        draw = fn_core.draw_coefficients(spec, p["seed"], order) if order else fn_core.zero_draw(0)
+        sample = fn_core.sample_graph(spec, draw, p["points"])
     if p["fmt"] == "csv":
         sample.write_csv(p["output"])
     else:

@@ -297,36 +297,43 @@ class CoverParams:
     valid: bool
 
 
-def shrink_rate_bound(n_squares: int, delta: float, ratio: float,
-                      mode: str = "general") -> CoverParams:
+def _power(ratio: float, k: int) -> float:
+    """ratio ** k, or inf past the float range."""
+    try:
+        return ratio ** k
+    except OverflowError:
+        return math.inf
+
+
+def shrink_rate_bound(n_squares: int, delta: float, spec: FunctionSpec) -> CoverParams:
     """Rate with measure(iterate n) < C * rate^n, from an N-square cover.
 
-    general mode picks the depth k with ratio^(k-1) <= 2/delta < ratio^k and
-    returns (N (delta + 2/ratio^k)^2)^(1/k).  With integer ratios and zero
-    phases no grid square straddles a cover square, giving exactly N*delta^2
-    at depth 1 (integer_b mode).  A rate >= 1 is flagged, not an error.
+    With spec.b_integer_theta_zero (integer b, zero phases) no grid square
+    straddles a cover square, giving exactly N delta^2 at depth 1.  Else,
+    with ratio = spec.freq.b, the depth k is the least with ratio^k > 2/delta
+    (a power past the float range is larger; a 2/delta past it is a
+    ValueError), and the rate is (N (delta + 2/ratio^k)^2)^(1/k).  A rate
+    >= 1 is flagged, not an error.
     """
     if n_squares < 1:
         raise ValueError(f"n_squares must be >= 1, got {n_squares}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not ratio > 1.0:
-        raise ValueError(f"ratio must exceed 1, got {ratio}")
-    if mode == "integer_b":
+    if spec.b_integer_theta_zero:
         rate = n_squares * delta ** 2
         depth = 1
-    elif mode == "general":
+    else:
+        ratio, bound = spec.freq.b, 2.0 / delta
+        if bound == math.inf:
+            raise ValueError(f"delta {delta} is too small: 2/delta is past the float range")
         # the least depth >= 1 with ratio^depth > 2/delta: from logarithms, then settled
         # by that float comparison, with no step per power of a ratio near 1
-        bound = 2.0 / delta
         depth = max(1, math.floor(math.log(bound) / math.log(ratio)) + 1)
-        while depth > 1 and ratio ** (depth - 1) > bound:
+        while depth > 1 and _power(ratio, depth - 1) > bound:
             depth -= 1
-        while ratio ** depth <= bound:
+        while _power(ratio, depth) <= bound:
             depth += 1
-        rate = (n_squares * (delta + 2.0 / ratio ** depth) ** 2) ** (1.0 / depth)
-    else:
-        raise ValueError(f"mode must be 'general' or 'integer_b', got {mode!r}")
+        rate = (n_squares * (delta + 2.0 / _power(ratio, depth)) ** 2) ** (1.0 / depth)
     valid = rate < 1.0
     if not valid:
         warnings.warn(

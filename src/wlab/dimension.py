@@ -33,6 +33,8 @@ from .fn_core import (
 )
 from .rng import substream
 
+_POINTS_PER_COLUMN = 8   # samples box_count asks of each eps-wide column by default
+
 
 class DensityError(ValueError):
     """Sample too sparse for the requested box scale (undercounting risk)."""
@@ -83,7 +85,7 @@ def _box_counts(ys: np.ndarray, scales, starts) -> list:
     return counts
 
 
-def box_count(sample: GraphSample, eps: float, min_points_per_column: int = 8) -> int:
+def box_count(sample: GraphSample, eps: float, min_points_per_column: int = _POINTS_PER_COLUMN) -> int:
     """Count eps x eps boxes (grid anchored at x=0, y=ymin floored to eps) hit.
 
     min_points_per_column * (grid spacing) must not exceed eps, otherwise a
@@ -105,7 +107,7 @@ def _scan_counts(samples, scales) -> list:
     for sample in samples:
         if sample.xs is not xs:
             xs = sample.xs
-            starts = _column_starts(xs, scales, 8)
+            starts = _column_starts(xs, scales, _POINTS_PER_COLUMN)
         counts.append(_box_counts(sample.ys, scales, starts))
     return counts
 
@@ -160,7 +162,7 @@ def box_dimension_scan(spec: FunctionSpec, seeds, scales, m: int | None = None) 
     if not seeds:
         raise ValueError("need at least one seed")
     if m is None:
-        m = int(round(8 / float(arr[-1]))) + 1
+        m = int(round(_POINTS_PER_COLUMN / float(arr[-1]))) + 1
     order = effective_order(spec)
     draws = (draw_coefficients(spec, s, order) for s in seeds)
     counts = _scan_counts(sample_graphs(spec, draws, m), arr)
@@ -236,9 +238,9 @@ def _lattice_pairs(seed: int, label: str, chunk_idx: int, k: int) -> np.ndarray:
     raise RuntimeError(f"x == y after 100 redraws in chunk {chunk_idx} of seed {seed}")
 
 
-def _pair_distances_sq(spec: FunctionSpec, draw: CoefficientDraw, order: int,
+def _pair_distances_sq(spec: FunctionSpec, draw: CoefficientDraw,
                        n_pairs: int, seed: int, label: str) -> np.ndarray:
-    """(x-y)^2 + (f(x)-f(y))^2 for i.i.d. uniform pairs on 2^-36 (_lattice_pairs).
+    """(x-y)^2 + (f(x)-f(y))^2 for i.i.d. uniform pairs on 2^-36 (_lattice_pairs), f of all draw terms.
 
     Chunk i of at most 2^16 pairs draws from the substream (seed, label, i),
     and its distances are built in place in the output.
@@ -250,7 +252,7 @@ def _pair_distances_sq(spec: FunctionSpec, draw: CoefficientDraw, order: int,
         k = min(_CHUNK, n_pairs - done)
         xy = _lattice_pairs(seed, label, chunk_idx, k)
         x, y = xy[:k], xy[k:]
-        f = evaluate_many(spec, draw, xy, order)
+        f = evaluate_many(spec, draw, xy, draw.order)
         d, df = out[done:done + k], f[:k]
         np.subtract(x, y, out=d)
         np.square(d, out=d)
@@ -274,7 +276,7 @@ def energy_estimate(spec: FunctionSpec, draw: CoefficientDraw, t: float,
         raise ValueError(f"t must lie in [0, 2), got {t}")
     if n_pairs < _MIN_PAIRS:
         raise ValueError(f"need >= {_MIN_PAIRS} pairs, got {n_pairs}")
-    w = _pair_distances_sq(spec, draw, draw.order, n_pairs, seed, "energy")
+    w = _pair_distances_sq(spec, draw, n_pairs, seed, "energy")
     w **= -0.5 * t   # in place, and the same scalar-power paths as **
     mean = w.mean()
     # w.std(ddof=1) with numpy's own ops, in place, so no second n-double array is made
@@ -358,7 +360,7 @@ def energy_threshold_scan(spec: FunctionSpec, t_grid, n_pairs: int, seeds,
     keep = min(_HILL_TOP + 1, n_pairs)
     for i, seed in enumerate(seeds):
         draw = draw_coefficients(spec, seed, order)
-        d2 = _pair_distances_sq(spec, draw, order, n_pairs, seed, "scanpairs")
+        d2 = _pair_distances_sq(spec, draw, n_pairs, seed, "scanpairs")
         for j, t in enumerate(t_grid):
             np.power(d2, -0.5 * t, out=w)  # what d2 ** (-t/2) calls: no fast path for t in (1, 2)
             fulls[j, i] = w.mean()

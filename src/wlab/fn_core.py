@@ -275,6 +275,8 @@ def draw_coefficients(spec: FunctionSpec, seed: int, order: int) -> CoefficientD
     """Draw values[n] = a^n (2u_n - 1) with u_n the first double of the (seed, "coeff", n) substream."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    if order > spec.freq.max_order:
+        raise ValueError(f"order {order} exceeds the {spec.freq.max_order} explicit frequencies")
     values = [
         (spec.a ** n) * (2.0 * u - 1.0)
         for n, u in enumerate(first_doubles(seed, "coeff", order))
@@ -291,33 +293,25 @@ def zero_draw(order: int = 1) -> CoefficientDraw:
 # truncation control
 # ---------------------------------------------------------------------------
 
-def truncation_order(spec: FunctionSpec, tol: float) -> int:
-    """Number of terms K after which the worst-case tail is below tol.
+def effective_order(spec: FunctionSpec, tol: float | None = None) -> int:
+    """The order rule: the fewest terms K whose tail bound 2 sup|g| a^K / (1 - a) is <= tol.
 
-    Keeping terms 0..K-1 leaves a tail bounded (over all draws, all x, and
-    differences f(x) - f(y)) by 2 * sup|g| * a^K / (1 - a); the returned K is
-    the smallest with that bound <= tol.
+    The bound holds over all draws, all x and differences f(x) - f(y); tol
+    defaults to 1e-9 sup|g| / (1 - a), far below any plotting or box
+    resolution used here, and K stops at freq.max_order.  A draw of K
+    coefficients carries the order: every sample of it sums all K terms.
     """
+    if tol is None:
+        tol = 1e-9 * spec.g.sup_abs / (1.0 - spec.a)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     worst = 2.0 * spec.g.sup_abs / (1.0 - spec.a)
     k = 0
     bound = worst
-    while bound > tol:
+    while bound > tol and k < spec.freq.max_order:
         k += 1
         bound = worst * spec.a ** k
     return k
-
-
-def default_tolerance(spec: FunctionSpec) -> float:
-    # Far below any plotting or box resolution used here.
-    return 1e-9 * spec.g.sup_abs / (1.0 - spec.a)
-
-
-def effective_order(spec: FunctionSpec, tol: float | None = None) -> int:
-    """Truncation order for tol (default: default_tolerance), capped at freq.max_order."""
-    return min(truncation_order(spec, default_tolerance(spec) if tol is None else tol),
-               spec.freq.max_order)
 
 
 def tail_bound(spec: FunctionSpec, order: int) -> float:
@@ -589,27 +583,20 @@ def _level_pass(spec: FunctionSpec, xs: np.ndarray, levels: list, consume) -> No
             list(pool.map(run, bounds[:-1], bounds[1:]))
 
 
-def _evaluate_rows(spec: FunctionSpec, draws, xs: np.ndarray, order: int) -> list:
-    """Per draw, the partial sum over n < order of values[n] * g(b_n x + theta_n) at each x.
+def _evaluate_rows(spec: FunctionSpec, coefficient_rows, xs: np.ndarray) -> list:
+    """Per row of coefficients c, the partial sum over n < len(c) of c[n] * g(b_n x + theta_n) at each x.
 
-    xs is flat, and each draw gets its own row of xs.size doubles.
-
-    The kernel behind evaluate_many and sample_graphs: one _level_pass, in
-    which each draw adds values[n] * g into its row where values[n] != 0, so
-    each row has the same bits for any thread count, block size and number
-    of draws.  A level no draw adds to is not reduced.
+    xs is flat, and each row c, of any length, gets its own output of
+    xs.size doubles.  The kernel behind evaluate_many and sample_graphs:
+    one _level_pass, in which each row adds c[n] * g into its output where
+    c[n] != 0, so each output has the same bits for any thread count, block
+    size and number of rows.  A level no row adds to is not reduced.
     """
-    if not draws:
+    if not coefficient_rows:
         raise ValueError("need at least one draw")
-    for draw in draws:
-        if order > draw.order:
-            raise ValueError(f"order {order} exceeds draw.order {draw.order}: "
-                             "the draw has too few coefficients")
-    if order > spec.freq.max_order:
-        raise ValueError(f"order {order} exceeds the {spec.freq.max_order} explicit frequencies")
-    rows = [np.zeros(xs.size) for _ in draws]
-    terms = {n: [(row, d.values[n]) for row, d in zip(rows, draws) if d.values[n] != 0.0]
-             for n in range(order)}
+    rows = [np.zeros(xs.size) for _ in coefficient_rows]
+    terms = {n: [(row, c[n]) for row, c in zip(rows, coefficient_rows) if n < len(c) and c[n] != 0.0]
+             for n in range(max(map(len, coefficient_rows)))}
 
     def add(start: int, stop: int, n: int, s) -> None:
         for row, c in terms[n]:
@@ -626,8 +613,10 @@ def evaluate_many(spec: FunctionSpec, draw: CoefficientDraw, xs, order: int) -> 
     bits for any thread count (see worker_threads) and the shape of
     np.atleast_1d(xs).
     """
+    if not 0 <= order <= draw.order:
+        raise ValueError(f"order {order} must lie in [0, draw.order {draw.order}]")
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    return _evaluate_rows(spec, [draw], xs.ravel(), order)[0].reshape(xs.shape)
+    return _evaluate_rows(spec, [draw.values[:order]], xs.ravel())[0].reshape(xs.shape)
 
 
 @dataclass(frozen=True)
@@ -663,37 +652,37 @@ class GraphSample:
         }
 
 
-def sample_graphs(spec: FunctionSpec, draws, m: int,
-                  tol: float | None = None) -> Iterator[GraphSample]:
+def sample_graphs(spec: FunctionSpec, draws, m: int) -> Iterator[GraphSample]:
     """Yield f of each draw sampled on one uniform m-point grid over [0, 1], in draw order.
 
-    The draws may be any iterable.  They are pulled a group at a time, at
-    most 2^22 doubles of rows and at least one draw per group, and each group
-    is sampled in one level pass, so a caller that consumes each sample
-    before asking for the next keeps about one group's rows alive, whatever
-    the number of draws.  The samples share one xs array, and each sample's
-    ys has the bits that sample_graph gives for its draw alone.
+    Each sample sums all draw.order terms of its draw and reports that order
+    and its tail_bound, so draws of effective_order(spec, tol) terms give
+    tol.  The draws may be any iterable.  They are pulled a group at a time,
+    at most 2^22 doubles of rows and at least one draw per group, and each
+    group is sampled in one level pass, so a caller that consumes each
+    sample before asking for the next keeps about one group's rows alive,
+    whatever the number of draws.  The samples share one xs array, and each
+    sample's ys has the bits that sample_graph gives for its draw alone.
     """
     if m < 2:
         raise ValueError(f"need at least 2 sample points, got {m}")
-    order = effective_order(spec, tol)
     xs = np.linspace(0.0, 1.0, m)
-    bound = tail_bound(spec, order)
     draws = iter(draws)
     per = max(1, _GROUP_DOUBLES // m)
     group = list(itertools.islice(draws, per))   # empty only without draws, which the kernel rejects
     while True:
-        yield from (GraphSample(xs=xs, ys=ys, truncation_order=order, tail_bound=bound)
-                    for ys in _evaluate_rows(spec, group, xs, order))
+        # the rows list lives only in this generator expression: it dies before the next group runs
+        yield from (GraphSample(xs=xs, ys=ys, truncation_order=d.order,
+                                tail_bound=tail_bound(spec, d.order))
+                    for d, ys in zip(group, _evaluate_rows(spec, [d.values for d in group], xs)))
         group = list(itertools.islice(draws, per))
         if not group:
             return
 
 
-def sample_graph(spec: FunctionSpec, draw: CoefficientDraw, m: int,
-                 tol: float | None = None) -> GraphSample:
-    """Sample f on the uniform m-point grid over [0, 1]."""
-    return next(sample_graphs(spec, [draw], m, tol))
+def sample_graph(spec: FunctionSpec, draw: CoefficientDraw, m: int) -> GraphSample:
+    """Sample f, summed over all draw.order terms, on the uniform m-point grid over [0, 1]."""
+    return next(sample_graphs(spec, [draw], m))
 
 
 def dimension_formula(spec: FunctionSpec) -> float:

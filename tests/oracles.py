@@ -208,7 +208,7 @@ def pooled_hill_scan(spec, t_grid, n_pairs, seeds, order):
     nq = n_pairs // 4
     d2_all = [
         dimension._pair_distances_sq(
-            spec, fn_core.draw_coefficients(spec, s, order), order, n_pairs, s, "scanpairs")
+            spec, fn_core.draw_coefficients(spec, s, order), n_pairs, s, "scanpairs")
         for s in seeds
     ]
     out = []

@@ -48,6 +48,18 @@ def test_gen_json_format(runner, tmp_path):
     assert len(doc["xs"]) == 32
 
 
+def test_gen_at_order_zero_writes_zeros(runner, tmp_path):
+    # --tol 100 exceeds the whole series' bound 2 / (1 - a) = 10: no term is kept
+    out = tmp_path / "sample.json"
+    result = runner.invoke(main, ["gen", "--tol", "100", "--points", "16", "--format", "json",
+                                  "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "order 0)" in result.output
+    doc = json.loads(out.read_text())
+    assert doc["truncation_order"] == 0 and doc["tail_bound"] == 1.0 / (1.0 - 0.8)
+    assert doc["ys"] == [0.0] * 16
+
+
 def test_gen_rejects_bad_amplitude(runner, tmp_path):
     result = runner.invoke(main, ["gen", "--a", "1.5",
                                   "--output", str(tmp_path / "s.csv")])

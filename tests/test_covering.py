@@ -23,7 +23,15 @@ from wlab.covering import (
     near_level_set,
     shrink_rate_bound,
 )
-from wlab.fn_core import COS, COS_PLUS_HALF, build_spec, geometric, reduced_arguments
+from wlab.fn_core import (
+    COS,
+    COS_PLUS_HALF,
+    FunctionSpec,
+    build_spec,
+    explicit,
+    geometric,
+    reduced_arguments,
+)
 from wlab.rng import substream
 
 import oracles
@@ -525,13 +533,18 @@ def test_library_sets_are_symmetric_and_write_the_tiled_pbm(tmp_path_factory, b,
 # shrink rate
 # ---------------------------------------------------------------------------
 
+def _phased(ratio):
+    # b^n with a nonzero phase: the general rule, at ratio b
+    return FunctionSpec(a=0.8, freq=geometric(ratio), phases=(0.25,))
+
+
 def test_shrink_rate_integer_mode_exact():
-    p = shrink_rate_bound(100, 0.01, 2.0, mode="integer_b")
+    p = shrink_rate_bound(100, 0.01, build_spec(0.8, geometric(2.0)))
     assert p.rate == 0.01 and p.depth == 1 and p.valid
 
 
 def test_shrink_rate_general_example():
-    p = shrink_rate_bound(20, 0.05, 2.0, mode="general")
+    p = shrink_rate_bound(20, 0.05, _phased(2.0))
     assert p.depth == 6
     with mp.workdps(40):
         expected = float((20 * (mp.mpf("0.05") + mp.mpf(2) / 64) ** 2) ** (mp.mpf(1) / 6))
@@ -540,11 +553,30 @@ def test_shrink_rate_general_example():
 
 
 @pytest.mark.filterwarnings("ignore:shrink rate")
+def test_shrink_rate_rule_follows_the_spec():
+    # the integer rule N delta^2 at depth 1 exactly where spec.b_integer_theta_zero
+    # holds; the general rule at ratio spec.freq.b everywhere else, b_seq included
+    integer = build_spec(0.8, geometric(2.0))
+    assert integer.b_integer_theta_zero
+    p = shrink_rate_bound(10, 0.1, integer)
+    assert (p.depth, p.rate) == (1, 10 * 0.1 ** 2)
+    general = [_phased(2.0), build_spec(0.8, geometric(2.5)),
+               build_spec(0.8, explicit([1, 2, 4, 8], 2.0))]
+    for spec in general:
+        assert not spec.b_integer_theta_zero
+        ratio = spec.freq.b
+        depth = _loop_depth(0.1, ratio)
+        p = shrink_rate_bound(10, 0.1, spec)
+        assert (p.depth, p.rate) == (depth, (10 * (0.1 + 2.0 / ratio ** depth) ** 2) ** (1.0 / depth))
+    assert shrink_rate_bound(10, 0.1, general[1]).rate == pytest.approx(0.691, abs=1e-3)
+
+
+@pytest.mark.filterwarnings("ignore:shrink rate")
 @given(delta=st.floats(min_value=1e-4, max_value=0.9),
        ratio=st.floats(min_value=1.01, max_value=8.0))
 @settings(max_examples=60, deadline=None)
 def test_shrink_rate_depth_condition(delta, ratio):
-    p = shrink_rate_bound(5, delta, ratio, mode="general")
+    p = shrink_rate_bound(5, delta, _phased(ratio))
     assert 2.0 / (delta * ratio ** p.depth) < 1.0
     assert p.depth == 1 or 1.0 <= 2.0 / (delta * ratio ** (p.depth - 1))
 
@@ -560,31 +592,50 @@ def _loop_depth(delta, ratio):
 @pytest.mark.filterwarnings("ignore:shrink rate")
 def test_shrink_rate_depth_and_rate_match_the_power_loop():
     # exact powers included: ratio 2 against delta 2^-j puts 2/delta on a power of the ratio
-    ratios = [2.0, 4.0, 3.0, 1.5, 2.5, 10.0, 1.01, 1.001, 1.0 + 2.0 ** -10, 1e300, math.inf]
+    ratios = [2.0, 4.0, 3.0, 1.5, 2.5, 10.0, 1.01, 1.001, 1.0 + 2.0 ** -10, 1e300]
     deltas = [2.0 ** -j for j in range(1, 40)] + [0.1, 0.05, 0.3, 0.999, 1e-9, 1e-100]
     for ratio in ratios:
         for delta in deltas:
             depth = _loop_depth(delta, ratio)
             want = (5 * (delta + 2.0 / ratio ** depth) ** 2) ** (1.0 / depth)
-            p = shrink_rate_bound(5, delta, ratio, mode="general")
+            p = shrink_rate_bound(5, delta, _phased(ratio))
             assert (p.depth, p.rate) == (depth, want), (ratio, delta)
+
+
+@pytest.mark.filterwarnings("ignore:shrink rate")
+def test_shrink_rate_powers_past_the_float_range_are_larger():
+    # ratio^depth past the float range exceeds 2/delta, and 2/ratio^depth is 0 there:
+    # 1e300^2 against 2e300, (1.5e154)^2 against 2e154, and 1e120^3 against 2e250
+    for ratio, delta, depth in ((1e300, 1e-300, 2), (1.5e154, 1e-154, 2), (1e120, 1e-250, 3)):
+        p = shrink_rate_bound(5, delta, _phased(ratio))
+        assert (p.depth, p.rate) == (depth, (5 * delta ** 2) ** (1.0 / depth)), ratio
+    assert shrink_rate_bound(5, 1e-154, _phased(1.5e154)).rate > 0.0
+
+
+def test_shrink_rate_delta_with_an_infinite_two_over_delta_is_a_value_error():
+    for delta in (1e-309, 5e-324):
+        assert 2.0 / delta == math.inf
+        with pytest.raises(ValueError, match=f"delta {delta} is too small"):
+            shrink_rate_bound(5, delta, _phased(2.0))
+    # the integer rule never forms 2/delta
+    assert shrink_rate_bound(5, 1e-309, build_spec(0.8, geometric(2.0))).depth == 1
 
 
 @pytest.mark.filterwarnings("ignore:shrink rate")
 def test_shrink_rate_depth_near_one_returns_at_once():
     # the loop took 2.8 s at 1 + 1e-7 (depth 29,957,325), and did not end in 20 s at 1 + 1e-12
     start = time.perf_counter()
-    p = shrink_rate_bound(5, 0.1, 1.0 + 1e-7, mode="general")
+    p = shrink_rate_bound(5, 0.1, _phased(1.0 + 1e-7))
     assert time.perf_counter() - start < 0.5
     assert p.depth == 29_957_325
     for ratio in (1.0 + 1e-7, 1.0 + 1e-12, 1.0 + 2.0 ** -52):
-        p = shrink_rate_bound(5, 0.1, ratio, mode="general")
+        p = shrink_rate_bound(5, 0.1, _phased(ratio))
         assert ratio ** p.depth > 2.0 / 0.1 >= ratio ** (p.depth - 1)
 
 
 def test_shrink_rate_small_delta_limit():
     # along N ~ C/delta (a curve-like cover) the rate tends to 1/ratio from above
-    gaps = [shrink_rate_bound(int(math.ceil(1.0 / d)), d, 2.0, mode="general").rate - 0.5
+    gaps = [shrink_rate_bound(int(math.ceil(1.0 / d)), d, _phased(2.0)).rate - 0.5
             for d in (1e-2, 1e-4, 1e-6, 1e-8)]
     assert all(g > 0 for g in gaps)
     assert gaps == sorted(gaps, reverse=True)
@@ -593,19 +644,16 @@ def test_shrink_rate_small_delta_limit():
 
 def test_shrink_rate_flags_useless_delta():
     with pytest.warns(UserWarning, match=">= 1"):
-        p = shrink_rate_bound(100, 0.5, 2.0, mode="integer_b")
+        p = shrink_rate_bound(100, 0.5, build_spec(0.8, geometric(2.0)))
     assert not p.valid
 
 
 def test_shrink_rate_validation():
+    spec = build_spec(0.8, geometric(2.0))
     with pytest.raises(ValueError):
-        shrink_rate_bound(0, 0.1, 2.0)
+        shrink_rate_bound(0, 0.1, spec)
     with pytest.raises(ValueError):
-        shrink_rate_bound(5, 1.5, 2.0)
-    with pytest.raises(ValueError):
-        shrink_rate_bound(5, 0.1, 0.9)
-    with pytest.raises(ValueError):
-        shrink_rate_bound(5, 0.1, 2.0, mode="bogus")
+        shrink_rate_bound(5, 1.5, spec)
 
 
 # ---------------------------------------------------------------------------

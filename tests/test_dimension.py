@@ -265,7 +265,7 @@ def test_energy_estimate_keeps_the_bits_of_numpy_std(n, t):
     spec = build_spec(0.8, geometric(2.0))
     draw = draw_coefficients(spec, 4, 12)
     est = energy_estimate(spec, draw, t, n, seed=n)
-    w = _pair_distances_sq(spec, draw, draw.order, n, n, "energy") ** (-0.5 * t)
+    w = _pair_distances_sq(spec, draw, n, n, "energy") ** (-0.5 * t)
     assert est.value == float(w.mean())
     assert est.std_error == float(w.std(ddof=1) / math.sqrt(n))
 
@@ -369,7 +369,7 @@ def test_pair_points_sample_g_at_19_levels_on_b2(monkeypatch):
     spec = build_spec(0.8, geometric(2.0))
     draw = draw_coefficients(spec, 1, 96)
     n = 1 << 15
-    _pair_distances_sq(spec, draw, 96, n, 2, "energy")   # builds the table and constant levels
+    _pair_distances_sq(spec, draw, n, 2, "energy")   # builds the table and constant levels
     points = []
     sample = fn_core.BaseFunction.sample
 
@@ -379,7 +379,7 @@ def test_pair_points_sample_g_at_19_levels_on_b2(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(fn_core.BaseFunction, "sample", counted)
-        d2 = _pair_distances_sq(spec, draw, 96, n, 2, "energy")
+        d2 = _pair_distances_sq(spec, draw, n, 2, "energy")
     assert sum(points) == 19 * 2 * n
     xy = dimension._lattice_pairs(2, "energy", 0, n)
     f = oracles.evaluate_levels(spec, draw, xy, 96)
@@ -403,7 +403,7 @@ def test_pair_points_take_the_lane_on_b25(monkeypatch):
         return wide_lane(m, *args)
 
     monkeypatch.setattr(fn_core, "_wide_lane", counted)
-    _pair_distances_sq(spec, draw_coefficients(spec, 1, 28), 28, 1 << 14, 1, "energy")
+    _pair_distances_sq(spec, draw_coefficients(spec, 1, 28), 1 << 14, 1, "energy")
     assert wide == []
 
 
@@ -471,7 +471,7 @@ def test_correlation_dimension_known_cases(case, want):
     n = 10 ** 6
     if case == "segment":
         spec = build_spec(0.8, geometric(2.0))
-        d2 = _pair_distances_sq(spec, zero_draw(), 1, n, 3, "takens")
+        d2 = _pair_distances_sq(spec, zero_draw(), n, 3, "takens")
     else:
         d2 = _torus_d2(substream(3, "takens-torus"), n)
     dim, se = _correlation_dimension(d2, 2000)

@@ -16,15 +16,15 @@ from wlab.fn_core import (
     COS_PLUS_HALF,
     CoefficientDraw,
     build_spec,
-    default_tolerance,
     dimension_formula,
     draw_coefficients,
+    effective_order,
     evaluate_many,
     explicit,
     geometric,
     sample_graph,
     sample_graphs,
-    truncation_order,
+    tail_bound,
     worker_threads,
     zero_draw,
 )
@@ -268,6 +268,13 @@ def test_draw_rejects_zero_order():
         draw_coefficients(spec, 1, 0)
 
 
+def test_draw_stops_at_the_explicit_frequencies():
+    spec = build_spec(0.8, explicit([1, 2, 4], 2.0))
+    assert draw_coefficients(spec, 1, 3).order == 3
+    with pytest.raises(ValueError, match="order 4 exceeds the 3 explicit frequencies"):
+        draw_coefficients(spec, 1, 4)
+
+
 def test_first_coefficient_mean_near_zero():
     # values[0] = 2u - 1 has mean 0 and sd 1/sqrt(3); CLT band over fixed seeds
     spec = build_spec(0.8, geometric(2.0))
@@ -301,21 +308,21 @@ def _smallest_order(a, sup_abs, tol):
 
 def test_truncation_order_examples():
     spec5 = fn_core.FunctionSpec(a=0.5, freq=geometric(4.0))
-    assert truncation_order(spec5, 1e-6) == _smallest_order(0.5, 1.0, 1e-6) == 22
+    assert effective_order(spec5, 1e-6) == _smallest_order(0.5, 1.0, 1e-6) == 22
     spec8 = fn_core.FunctionSpec(a=0.8, freq=geometric(2.0))
-    assert truncation_order(spec8, 1e-6) == _smallest_order(0.8, 1.0, 1e-6) == 73
+    assert effective_order(spec8, 1e-6) == _smallest_order(0.8, 1.0, 1e-6) == 73
 
 
 def test_truncation_order_whole_series_below_tol():
     spec = fn_core.FunctionSpec(a=0.5, freq=geometric(4.0))
-    assert truncation_order(spec, 2.0 * 1.0 / 0.5) == 0
-    assert truncation_order(spec, 100.0) == 0
+    assert effective_order(spec, 2.0 * 1.0 / 0.5) == 0
+    assert effective_order(spec, 100.0) == 0
 
 
 def test_truncation_order_rejects_nonpositive_tol():
     spec = fn_core.FunctionSpec(a=0.5, freq=geometric(4.0))
     with pytest.raises(ValueError):
-        truncation_order(spec, 0.0)
+        effective_order(spec, 0.0)
 
 
 @given(o1=st.integers(min_value=0, max_value=30),
@@ -487,16 +494,16 @@ def test_evaluate_many_matches_whole_array_levels_bit_for_bit(spec, order, shape
 
 @pytest.mark.parametrize("spec, order, shape", _KERNEL_CASES)
 def test_draw_rows_match_whole_array_levels_bit_for_bit(spec, order, shape):
-    # three draws in one level pass, one of them longer than order: each row
-    # has the bits of its draw alone, and the zero draw's row is exact zeros,
-    # nan and infinite x included
+    # three draws in one level pass, one of them shorter than the others:
+    # each row has the bits of its draw alone at its own order, and the zero
+    # draw's row is exact zeros, nan and infinite x included
     draws = [draw_coefficients(spec, 3, order), zero_draw(order),
-             draw_coefficients(spec, 5, order + 7)]
+             draw_coefficients(spec, 5, order - 7)]
     xs = _kernel_inputs(shape, 11)
-    wants = [oracles.evaluate_levels(spec, d, xs, order).ravel().view(np.uint64) for d in draws]
+    wants = [oracles.evaluate_levels(spec, d, xs, d.order).ravel().view(np.uint64) for d in draws]
     for threads in (1, 2, 3):
         with worker_threads(threads):
-            rows = fn_core._evaluate_rows(spec, draws, xs.ravel(), order)
+            rows = fn_core._evaluate_rows(spec, [d.values for d in draws], xs.ravel())
         assert len(rows) == 3
         for i, (row, want) in enumerate(zip(rows, wants)):
             assert np.array_equal(row.view(np.uint64), want), (threads, i)
@@ -507,13 +514,10 @@ def test_draw_rows_need_a_draw_and_enough_terms():
     spec = build_spec(0.8, geometric(2.0))
     xs = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="at least one draw"):
-        fn_core._evaluate_rows(spec, [], xs, 4)
-    with pytest.raises(ValueError, match="exceeds draw.order 3"):
-        fn_core._evaluate_rows(spec, [draw_coefficients(spec, 1, 8),
-                                      draw_coefficients(spec, 2, 3)], xs, 4)
-    short = build_spec(0.8, explicit([1, 2, 4], 2.0))
-    with pytest.raises(ValueError, match="3 explicit frequencies"):
-        fn_core._evaluate_rows(short, [draw_coefficients(short, 1, 8)], xs, 4)
+        fn_core._evaluate_rows(spec, [], xs)
+    for order in (4, -1):   # a negative order would slice off the last terms
+        with pytest.raises(ValueError, match=r"\[0, draw.order 3\]"):
+            evaluate_many(spec, draw_coefficients(spec, 2, 3), xs, order)
 
 
 def test_worker_threads_is_restored_and_checked():
@@ -645,7 +649,7 @@ def test_constant_levels_keep_the_bits_of_whole_array_levels(freq, phases, block
         patch.setattr(fn_core, "_BLOCK", 16)
         patch.setattr(fn_core, "_MIN_CHUNK", 8)
         got = evaluate_many(spec, draws[0], xs, order)
-        samples = list(sample_graphs(spec, draws, m, tol=1e-3))
+        samples = list(sample_graphs(spec, draws, m))
     want = oracles.evaluate_levels(spec, draws[0], xs, order)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     for draw, s in zip(draws, samples):
@@ -839,7 +843,7 @@ def test_sample_graph_endpoints():
 
 def test_sample_graph_zero_draw():
     spec = build_spec(0.8, geometric(2.0))
-    s = sample_graph(spec, zero_draw(200), 8, tol=1e-9)
+    s = sample_graph(spec, zero_draw(200), 8)
     assert np.all(s.ys == 0.0)
 
 
@@ -859,12 +863,27 @@ def test_sample_graph_y_bound():
     assert np.all(np.abs(s.ys) <= spec.g.sup_abs / (1 - spec.a) + s.tail_bound)
 
 
+def test_sample_graph_sums_every_term_of_its_draw():
+    # the draw's length is the truncation order: all 120 terms of a draw at
+    # (0.8, 2), whose default order is 96, and all 3 of a short draw, alone
+    # and in one group, each reporting its own order and tail bound
+    spec = build_spec(0.8, geometric(2.0))
+    long, short = draw_coefficients(spec, 7, 120), draw_coefficients(spec, 7, 3)
+    alone = [sample_graph(spec, long, 257), sample_graph(spec, short, 257)]
+    grouped = list(sample_graphs(spec, [long, short], 257))
+    for draw, s, g in zip((long, short), alone, grouped):
+        want = oracles.evaluate_levels(spec, draw, s.xs, draw.order).view(np.uint64)
+        for sample in (s, g):
+            assert (sample.truncation_order, sample.tail_bound) == (draw.order,
+                                                                    tail_bound(spec, draw.order))
+            assert np.array_equal(sample.ys.view(np.uint64), want), draw.order
+    assert alone[0].truncation_order == 120 and alone[1].tail_bound == tail_bound(spec, 3)
+
+
 def test_sample_graph_needs_two_points_and_enough_coefficients():
     spec = build_spec(0.8, geometric(2.0))
     with pytest.raises(ValueError):
         sample_graph(spec, zero_draw(), 1)
-    with pytest.raises(ValueError, match="coefficients"):
-        sample_graph(spec, draw_coefficients(spec, 1, 3), 16)
 
 
 def test_sample_graphs_share_xs_and_keep_each_draws_bits():
@@ -876,8 +895,6 @@ def test_sample_graphs_share_xs_and_keep_each_draws_bits():
         assert s.xs is samples[0].xs
         assert np.array_equal(s.ys.view(np.uint64),
                               sample_graph(spec, draw, 4097).ys.view(np.uint64))
-    with pytest.raises(ValueError, match="coefficients"):
-        list(sample_graphs(spec, [draws[0], draw_coefficients(spec, 4, 3)], 16))
 
 
 @pytest.mark.parametrize("rows, per", [(3, 3), (0.5, 1)], ids=["groups-of-3", "row-over-budget"])
@@ -959,8 +976,11 @@ def test_dimension_formula_warns_outside_hypotheses():
 
 
 def test_default_tolerance_scale():
+    # the default tolerance is 1e-9 sup|g| / (1 - a) = 5e-9 here
     spec = build_spec(0.8, geometric(2.0))
-    assert default_tolerance(spec) == pytest.approx(5e-9)
+    assert effective_order(spec) == effective_order(spec, 1e-9 / 0.2) == _smallest_order(0.8, 1.0, 5e-9)
+    assert effective_order(spec) == 96
+    assert effective_order(spec, 7e-9) == 95
 
 
 # ---------------------------------------------------------------------------
@@ -989,9 +1009,10 @@ def test_fit_line_exact_and_noisy():
 def test_effective_order_caps_at_explicit_frequencies():
     spec = build_spec(0.8, explicit([1, 2, 4, 8], 2.0))
     assert fn_core.effective_order(spec) == 4
+    assert fn_core.effective_order(spec, 1e-3) == 4
+    assert fn_core.effective_order(spec, 6.0) == _smallest_order(0.8, 1.0, 6.0) == 3
     geo = build_spec(0.8, geometric(2.0))
-    assert fn_core.effective_order(geo) == truncation_order(geo, default_tolerance(geo))
-    assert fn_core.effective_order(geo, 1e-3) == truncation_order(geo, 1e-3)
+    assert fn_core.effective_order(geo, 1e-3) == _smallest_order(0.8, 1.0, 1e-3)
 
 
 def _lane_xs(kind, p, seed):

@@ -1,6 +1,7 @@
 """Print a SHA-256 digest of every artifact wlab writes, for byte-identity checks.
 
-Runs each CLI command at its defaults (plus a non-integer b, an explicit
+Runs each CLI command at its defaults (plus a JSON gen at --tol 100,
+whose order is 0, a non-integer b, an explicit
 frequency sequence with phases, as a CSV and as JSON, whose spec dict holds
 freq_mode "explicit" and the b_seq, a phased gen on integer b, a phased cover,
 a phased cover on b = 2.5 with PBMs, whose cell indices do not tile the
@@ -67,6 +68,7 @@ CONFIG = "# one gen run's defaults\npoints = 1000\nb = 3\nphases = 0.1,0.25,0.4\
 RUNS = [
     ["gen", "--output", "gen.csv"],
     ["gen", "--format", "json", "--output", "gen.json"],
+    ["gen", "--tol", "100", "--format", "json", "--output", "gen_order0.json"],
     ["gen", "--b", "2.5", "--output", "gen_b2.5.csv"],
     ["gen", "--g", "cos2", "--b-seq", B_SEQ, "--b", "2.5", "--phases", PHASES,
      "--output", "gen_bseq.csv"],
@@ -118,7 +120,7 @@ def library_writers(out: Path) -> None:
     write_first_hits(phased, 6, 1024, out / "first_hit_cos2").sets[1].write_pbm(out / "first_hit_cos2.set1.pbm")
     b3 = fn_core.build_spec(0.8, fn_core.geometric(3.0))
     write_first_hits(b3, 5, 1458, out / "first_hit_b3")
-    order = fn_core.truncation_order(spec, fn_core.default_tolerance(spec))
+    order = fn_core.effective_order(spec)
     sample = fn_core.sample_graph(spec, fn_core.draw_coefficients(spec, 3, order), 1 << 15)
     occupation.char_function_profile(sample, du=0.5, u_max=64.0).write_csv(out / "profile.csv")
     g7 = fn_core.BaseFunction("cos+0.2cos7", ((1, 1.0), (7, 0.2)))
