@@ -24,15 +24,16 @@ from .fn_core import BaseFunction, FunctionSpec, fit_line, reduced_arguments, wr
 # Levels with fewer than this many grid cells per oscillation are noise.
 CELLS_PER_OSCILLATION = 4
 
-# Elements of the float64 row block behind every m x m threshold mask: 512 KiB,
-# so the buffer stays in L2 and no m x m float temporary is ever built.  The
-# bitmap kernels walk their rows in blocks of the same number of cells.
+# Cells per block of rows in the bitmap kernels and in the rank block behind
+# every m x m threshold mask (at most 2 bytes a cell below m = 65536, so
+# 128 KiB), so the buffers stay in L2 and no m x m temporary beyond the mask
+# itself is ever built.
 _MASK_BLOCK = 1 << 16
 
 # first_hit_sets updates the whole square level by level while more than
 # this share of its cells lacks a second hit, then walks only those cells,
 # this many at a time: a step's two float64 gathers and the intp copies of
-# their indices then fill about two of the 512 KiB mask blocks.
+# their indices then take about 1 MiB.
 _OPEN_SHARE = 0.125
 _OPEN_CHUNK = _MASK_BLOCK // 2
 
@@ -111,21 +112,57 @@ def cell_centers(resolution: int) -> np.ndarray:
     return (np.arange(resolution, dtype=np.float64) + 0.5) / float(resolution)
 
 
-def _far_mask(v: np.ndarray, epsilon: float) -> np.ndarray:
-    """Bool mask |v_i - v_j| >= epsilon, built a block of rows at a time.
+def _rank_count(s: np.ndarray, test) -> np.ndarray:
+    """Per row i, the length of the leading run of sorted s on which test(w)[i] holds.
 
-    Symmetric bit for bit: v_j - v_i is exactly -(v_i - v_j).
+    The run must be a prefix of s for every row, and test must fail on
+    +inf, which pads s past its end; the run is found by bisection, one
+    vectorised step per bit of s.size.
     """
+    m = s.size
+    step = 1 << (m.bit_length() - 1)
+    padded = np.full(2 * step - 1, np.inf)
+    padded[:m] = s
+    n = np.zeros(m, dtype=np.intp)
+    while step:
+        np.add(n, step, out=n, where=test(np.take(padded, n + (step - 1))))
+        step >>= 1
+    return n
+
+
+def _far_mask(v: np.ndarray, epsilon: float) -> np.ndarray:
+    """Bool mask |v_i - v_j| >= epsilon over finite v, built from the ranks of v.
+
+    Rounded subtraction is monotone, so for a fixed v_i, v_i - w does not
+    increase as w grows: in sorted order the w with v_i - w >= epsilon form a
+    prefix and those with v_i - w <= -epsilon a suffix.  Row i is near on
+    exactly one run of ranks [lo_i, hi_i), each bound counted by bisection on
+    that very test, and far everywhere else; ties (and +-0.0) lie in one
+    run.  A block of rows is then rank_j - lo_i >= hi_i - lo_i in the
+    narrowest unsigned dtype holding m, where a rank below lo_i wraps to at
+    least 2^B - lo_i >= hi_i - lo_i, since hi_i <= m < 2^B, and so is far.
+    Each cell gets the bit of the float test, so the mask is symmetric bit
+    for bit: v_j - v_i is exactly -(v_i - v_j).  g at reduced cell centres
+    is always finite.
+    """
+    assert np.isfinite(v).all(), "far masks are built over finite values"
     m = v.size
+    order = np.argsort(v)
+    s = v[order]
+    dtype = np.min_scalar_type(m)
+    rank = np.empty(m, dtype=dtype)
+    rank[order] = np.arange(m, dtype=dtype)
+    lo = _rank_count(s, lambda w: v - w >= epsilon)
+    width = (_rank_count(s, lambda w: v - w > -epsilon) - lo).astype(dtype)
+    lo = lo.astype(dtype)
     rows = max(1, _MASK_BLOCK // m)
-    buf = np.empty((min(rows, m), m), dtype=np.float64)
+    buf = np.empty((min(rows, m), m), dtype=dtype)
     out = np.empty((m, m), dtype=bool)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        blk = buf[:hi - lo]
-        np.subtract(v[lo:hi, None], v[None, :], out=blk)
-        np.abs(blk, out=blk)
-        np.greater_equal(blk, epsilon, out=out[lo:hi])
+    for a in range(0, m, rows):
+        b = min(a + rows, m)
+        blk = buf[:b - a]
+        np.subtract(rank[None, :], lo[a:b, None], out=blk)
+        np.greater_equal(blk, width[a:b, None], out=out[a:b])
     return out
 
 
@@ -312,15 +349,20 @@ def shrink_rate_bound(n_squares: int, delta: float, spec: FunctionSpec) -> Cover
     straddles a cover square, giving exactly N delta^2 at depth 1.  Else,
     with ratio = spec.freq.b, the depth k is the least with ratio^k > 2/delta
     (a power past the float range is larger; a 2/delta past it is a
-    ValueError), and the rate is (N (delta + 2/ratio^k)^2)^(1/k).  A rate
+    ValueError), and the rate is (N (delta + 2/ratio^k)^2)^(1/k).  N is
+    taken as a float, so an N past the float range is a ValueError.  A rate
     >= 1 is flagged, not an error.
     """
     if n_squares < 1:
         raise ValueError(f"n_squares must be >= 1, got {n_squares}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    try:
+        n = float(n_squares)
+    except OverflowError:
+        raise ValueError("n_squares is past the float range") from None
     if spec.b_integer_theta_zero:
-        rate = n_squares * delta ** 2
+        rate = n * delta ** 2
         depth = 1
     else:
         ratio, bound = spec.freq.b, 2.0 / delta
@@ -333,7 +375,7 @@ def shrink_rate_bound(n_squares: int, delta: float, spec: FunctionSpec) -> Cover
             depth -= 1
         while _power(ratio, depth) <= bound:
             depth += 1
-        rate = (n_squares * (delta + 2.0 / _power(ratio, depth)) ** 2) ** (1.0 / depth)
+        rate = (n * (delta + 2.0 / _power(ratio, depth)) ** 2) ** (1.0 / depth)
     valid = rate < 1.0
     if not valid:
         warnings.warn(

@@ -305,12 +305,19 @@ def effective_order(spec: FunctionSpec, tol: float | None = None) -> int:
         tol = 1e-9 * spec.g.sup_abs / (1.0 - spec.a)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    worst = 2.0 * spec.g.sup_abs / (1.0 - spec.a)
-    k = 0
-    bound = worst
-    while bound > tol and k < spec.freq.max_order:
+    a, cap = spec.a, spec.freq.max_order
+    worst = 2.0 * spec.g.sup_abs / (1.0 - a)
+
+    def above(k):   # the tail bound after k terms is still above tol
+        return worst * a ** k > tol
+
+    # from logarithms, then settled by that float comparison, with no step
+    # per term of an a near 1
+    k = int(min(max(0.0, (math.log(tol) - math.log(worst)) / math.log(a)), cap))
+    while k > 0 and not above(k - 1):
+        k -= 1
+    while k < cap and above(k):
         k += 1
-        bound = worst * spec.a ** k
     return k
 
 

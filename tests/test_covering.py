@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -156,6 +157,61 @@ def test_far_mask_matches_outer_difference_with_ties():
     diff = np.abs(v[:, None] - v[None, :])
     assert np.any(diff == eps)
     assert np.array_equal(_far_mask(v, eps), diff >= eps)
+
+
+@pytest.mark.parametrize("eps", [5e-324, 0.25, 2.9, math.inf])
+@pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 1500])
+def test_far_mask_from_ranks_at_its_edges(m, eps):
+    # m = 255/256 are the uint8/uint16 rank edges and 257 and 1500 end in a
+    # ragged row block; values sit at exactly 0 +- eps and one step either
+    # side of it, in runs of duplicates, at +-0.0, and for eps = inf at
+    # +-1.5e308, whose difference overflows to inf and so is far
+    rng = substream(7, "far-mask-ranks", m)
+    v = np.where(rng.random(m) < 0.5, rng.integers(-8, 8, m) * 0.125, rng.normal(size=m))
+    if eps < math.inf:
+        edges = [eps, -eps]
+        planted = [0.0] + edges + [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+    else:
+        planted = [1.5e308, -1.5e308, 0.0]
+    planted += [-0.0, 0.0, -0.0]
+    k = min(m, len(planted))
+    v[rng.permutation(m)[:k]] = planted[:k]
+    with np.errstate(over="ignore"):
+        diff = np.abs(v[:, None] - v[None, :])
+        got = _far_mask(v, eps)
+    if m > 1:
+        assert np.any(diff == eps)
+    assert np.array_equal(got, diff >= eps)
+    assert np.array_equal(got, got.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=arrays(np.float64, st.integers(1, 300),
+                elements=st.floats(allow_nan=False, allow_infinity=False, width=64)),
+       eps=st.floats(min_value=5e-324, allow_nan=False))
+def test_far_mask_matches_outer_difference_on_any_finite_values(v, eps):
+    with np.errstate(over="ignore"):
+        want = np.abs(v[:, None] - v[None, :]) >= eps
+        assert np.array_equal(_far_mask(v, eps), want)
+
+
+def test_far_mask_rejects_values_that_are_not_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(AssertionError):
+            _far_mask(np.array([0.0, bad, 1.0]), 0.1)
+
+
+def test_far_mask_holds_no_float_block():
+    # the mask's m^2 bytes plus a block of ranks of at most 2 bytes a cell
+    m = 1024
+    v = COS.sample(cell_centers(m))
+    tracemalloc.start()
+    try:
+        _far_mask(v, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * m * m
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1])
@@ -646,6 +702,21 @@ def test_shrink_rate_flags_useless_delta():
     with pytest.warns(UserWarning, match=">= 1"):
         p = shrink_rate_bound(100, 0.5, build_spec(0.8, geometric(2.0)))
     assert not p.valid
+
+
+def test_shrink_rate_n_squares_past_the_float_range_is_a_value_error():
+    integer, general = build_spec(0.8, geometric(2.0)), _phased(2.5)
+    for spec in (integer, general):
+        for n in (10 ** 400, 2 ** 1024):
+            with pytest.raises(ValueError, match="n_squares"):
+                shrink_rate_bound(n, 0.1, spec)
+    # ints up to the largest float keep the bits of the rate computed on the int itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n in (3, 10 ** 17 + 1, 10 ** 300, 2 ** 1024 - 2 ** 971, np.int64(2 ** 62 + 1)):
+            assert shrink_rate_bound(n, 0.1, integer).rate == n * 0.1 ** 2
+            p = shrink_rate_bound(n, 0.1, general)
+            assert p.rate == (n * (0.1 + 2.0 / 2.5 ** p.depth) ** 2) ** (1.0 / p.depth)
 
 
 def test_shrink_rate_validation():

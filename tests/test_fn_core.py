@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -1013,6 +1014,45 @@ def test_effective_order_caps_at_explicit_frequencies():
     assert fn_core.effective_order(spec, 6.0) == _smallest_order(0.8, 1.0, 6.0) == 3
     geo = build_spec(0.8, geometric(2.0))
     assert fn_core.effective_order(geo, 1e-3) == _smallest_order(0.8, 1.0, 1e-3)
+
+
+def _per_term_order(spec, tol):
+    # the rule one term at a time, as effective_order stepped before it started from logarithms
+    worst = 2.0 * spec.g.sup_abs / (1.0 - spec.a)
+    k = 0
+    bound = worst
+    while bound > tol and k < spec.freq.max_order:
+        k += 1
+        bound = worst * spec.a ** k
+    return k
+
+
+def test_effective_order_matches_the_per_term_loop():
+    capped = explicit([1, 2, 4, 8, 16, 32, 64, 128], 2.0)
+    for g in (COS, COS_PLUS_HALF):
+        for a in (0.01, 0.3, 0.5, 0.8, 0.97, 0.995):
+            worst = 2.0 * g.sup_abs / (1.0 - a)
+            tols = [5e-324, 1e-200, 1e-9, 1e-3, 0.7, 2.5, worst, 1e300, math.inf]
+            for k in (1, 5, 40):   # tails landing exactly on the bound after k terms, and their neighbours
+                t = worst * a ** k
+                tols += [t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)]
+            for freq in (geometric(2.0), capped):
+                spec = fn_core.FunctionSpec(a=a, freq=freq, g=g)
+                assert effective_order(spec) == _per_term_order(spec, 1e-9 * g.sup_abs / (1.0 - a))
+                for tol in tols:
+                    assert effective_order(spec, tol) == _per_term_order(spec, tol), (g.kind, a, freq, tol)
+
+
+def test_effective_order_near_one_returns_at_once():
+    # the per-term loop took 0.8 s at 1 - 1e-5 and 6.8 s at 1 - 1e-6; both K are its values
+    for a, want in ((1.0 - 1e-5, 2_141_631), (1.0 - 1e-6, 21_416_403), (1.0 - 1e-9, None)):
+        spec = fn_core.FunctionSpec(a=a, freq=geometric(2.0))
+        start = time.perf_counter()
+        k = effective_order(spec)
+        assert time.perf_counter() - start < 0.1
+        worst, tol = 2.0 / (1.0 - a), 1e-9 / (1.0 - a)
+        assert worst * a ** k <= tol < worst * a ** (k - 1)
+        assert want is None or k == want
 
 
 def _lane_xs(kind, p, seed):
