@@ -354,8 +354,8 @@ CRITERIA = {
 
 
 def run_all(profile: AcceptanceProfile = DESK, criteria=None) -> list:
-    """Run the requested criteria (all by default) and return their results."""
-    selected = sorted(CRITERIA) if criteria is None else sorted(criteria)
+    """Run the requested criteria (all by default) once each, in id order, and return their results."""
+    selected = sorted(CRITERIA) if criteria is None else sorted(set(criteria))
     results = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -296,6 +296,8 @@ def intersection_sequence(a: GridSet, spec: FunctionSpec, n_max: int, on_level=N
     level, so a caller that keeps it must copy its bits.  Returns
     (deepest set, measures, n_effective).
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     m = a.resolution
     n_eff = _level_cap(spec, n_max, m)
     centers = cell_centers(m)

@@ -382,7 +382,7 @@ def reduced_arguments(spec: FunctionSpec, n: int, xs) -> np.ndarray:
         t = _wide_lane(m, e, b_num, k, t_num, kt)
     else:   # the lane on X = m 2^(e + 63 - k) = x 2^(63 - k); its step exists for every b_n
         digits = m.view(np.uint64) << _clamp(e + (_BITS - k), _BITS).astype(np.uint64)
-        t = _lane_arguments(digits, _lattice_step(*ratios, _BITS - k, _BITS))
+        t = _lane_arguments(digits, _lattice_step(*ratios, _BITS - k))
         # per point: 63 points of linspace(0, 1, 2^17)'s first block are wide, and the int
         # rule on the whole block made sample_graph 0.11 -> 0.71 s at b = 3 (2-vCPU Xeon)
         wide = e < k - _BITS
@@ -418,27 +418,19 @@ def _block_digits(xs: np.ndarray) -> tuple:
     return p, d
 
 
-def _lattice_step(b_ratio: tuple, t_ratio: tuple, bits, width: int) -> tuple | None:
-    """(F, T) with (b_n x + theta_n) mod 1 = ((X F + T) mod 2^width) / 2^width, or None.
+def _lattice_step(b_ratio: tuple, t_ratio: tuple, bits) -> tuple:
+    """(F, T) with (b_n x + theta_n) mod 1 = ((X F + T) mod 2^63) / 2^63.
 
     b_n = B / 2^k and theta_n = t / 2^kt are given as (B, k) and (t, kt),
-    and X = x 2^bits mod 2^width for an x with at most bits fraction
-    digits (_block_digits splits it at width 63).  The reduced arguments
-    of such x lie on the lattice 2^-max(bits - v2(b_n), kt); where that
-    lattice divides 2^-width, F and T are integers, and None is returned
-    where it does not.
-    (F, T) reads only X mod 2^width, so X may be split at a greater width.
-    At bits = 63 - k and width = 63 there is a step for every b_n with
-    kt <= 63: the factor and offset of the uint64 lane of reduced_arguments.
+    and X = x 2^bits mod 2^63 for an x with at most bits fraction digits.
+    F and T are integers where max(bits - v2(b_n), kt) <= 63, as the
+    callers ensure: the table and lane levels of _level_pass, and the
+    uint64 lane of reduced_arguments at bits = 63 - k and kt <= 63.
     """
     (b_num, k), (t_num, kt) = b_ratio, t_ratio
-    v2 = (b_num & -b_num).bit_length() - 1 - k
-    if bits - v2 > width or kt > width:
-        return None
-    shift = width - bits - k         # F = B 2^shift, an integer since bits - v2 <= width
+    shift = _BITS - bits - k         # F = B 2^shift, an integer since bits - v2(b_n) <= 63
     factor = b_num << shift if shift >= 0 else b_num >> -shift
-    mask = (1 << width) - 1
-    return factor & mask, (t_num << (width - kt)) & mask
+    return factor & _MASK, (t_num << (_BITS - kt)) & _MASK
 
 
 @lru_cache(maxsize=None)
@@ -456,26 +448,25 @@ def _g_table(g: BaseFunction) -> np.ndarray:
     return table
 
 
-def _lattice_g(g: BaseFunction, digits: np.ndarray, step: tuple) -> np.ndarray:
-    """g(b_n x + theta_n) on a table level: a lookup, with the bits of g at the reduced argument."""
-    factor, offset = step
-    idx = digits * factor
-    idx += offset
-    idx &= (1 << _TABLE_BITS) - 1
-    return _g_table(g)[idx]
-
-
-def _lane_arguments(digits: np.ndarray, step: tuple) -> np.ndarray:
-    """reduced_arguments on a lane level, from X = x 2^bits mod 2^63 and step = (F, T).
-
-    The uint64 lane rule: ((X F + T) mod 2^63) 2^-63, the exact reduced
-    argument, rounded once, with a result of 1.0 set to 0.0.
-    """
+def _lane_integer(digits: np.ndarray, step: tuple) -> np.ndarray:
+    """The lane's integer u = (X F + T) mod 2^63 (uint64): u 2^-63 is the exact reduced argument."""
     factor, offset = step
     u = digits.view(np.uint64) * np.uint64(factor)
     u += np.uint64(offset)
     u &= np.uint64(_MASK)
-    t = u * 2.0 ** -_BITS
+    return u
+
+
+def _lattice_g(g: BaseFunction, digits: np.ndarray, step: tuple) -> np.ndarray:
+    """g(b_n x + theta_n) on a table level, where u = i 2^46: g at i / 2^17, looked up with its bits."""
+    u = _lane_integer(digits, step)
+    u >>= np.uint64(_BITS - _TABLE_BITS)
+    return _g_table(g)[u.view(np.int64)]   # numpy indexes with int64 faster than with uint64
+
+
+def _lane_arguments(digits: np.ndarray, step: tuple) -> np.ndarray:
+    """reduced_arguments on a lane level: u 2^-63, rounded once, with a result of 1.0 set to 0.0."""
+    t = _lane_integer(digits, step) * 2.0 ** -_BITS
     t[t == 1.0] = 0.0
     return t
 
@@ -510,22 +501,24 @@ def worker_threads(n: int):
 def _level_steps(spec: FunctionSpec, n: int, bits) -> tuple:
     """(kind, step) of level n on a block of x with at most bits fraction digits.
 
-    kind is "constant", "table", "lane" or "general" (see _level_pass).
-    step is g at the reduced phase on a constant level, the level's
-    _lattice_step at width 17 on a table level and at width 63 on a lane
-    level, and None otherwise.  Worked out once per (spec, n, bits), since
-    the calls that use it (C8's two-point increment_half_widths calls, say)
-    can be many and small.
+    With e = bits - v2(b_n), the fraction digits of b_n x, and
+    L = max(e, kt) for theta_n = t / 2^kt, the reduced arguments lie on
+    2^-L, and the kind (see _level_pass) is constant where e <= 0, table
+    where L <= 17, lane where L <= 63 and general otherwise.  step is g at
+    the reduced phase on a constant level, the level's _lattice_step on a
+    table or lane level, and None on a general one.  Worked out once per
+    (spec, n, bits), since the calls that use it (C8's two-point
+    increment_half_widths calls, say) can be many and small.
     """
     b_ratio, t_ratio = _ratios(spec, n)
-    b_num, k = b_ratio
-    if (b_num & -b_num).bit_length() - 1 - k >= bits:   # b_n x is an integer
+    (b_num, k), (_, kt) = b_ratio, t_ratio
+    e = bits - ((b_num & -b_num).bit_length() - 1 - k)
+    lattice = max(e, kt)
+    if e <= 0:   # b_n x is an integer
         return "constant", spec.g.sample(reduced_arguments(spec, n, np.zeros(1)))[0]
-    for kind, width in (("table", _TABLE_BITS), ("lane", _BITS)):
-        step = _lattice_step(b_ratio, t_ratio, bits, width)
-        if step is not None:
-            return kind, step
-    return "general", None
+    if lattice > _BITS:
+        return "general", None
+    return "table" if lattice <= _TABLE_BITS else "lane", _lattice_step(b_ratio, t_ratio, bits)
 
 
 def _level_pass(spec: FunctionSpec, xs: np.ndarray, levels: list, consume) -> None:
@@ -547,10 +540,11 @@ def _level_pass(spec: FunctionSpec, xs: np.ndarray, levels: list, consume) -> No
       of the block (as for even b from some n on): s is g at the reduced
       phase, computed once per (spec, n, p);
     - table, where every reduced argument is i / 2^17 for an integer i
-      (max(p - v2(b_n), kt) <= 17 for theta_n = t / 2^kt): i comes from
-      X mod 2^17, and g is looked up in a table of g at i / 2^17, built
-      once per base function (every level of the grid j / 2^17 for odd
-      integer b and zero phases, levels 36-52 of random doubles for b = 2);
+      (max(p - v2(b_n), kt) <= 17 for theta_n = t / 2^kt): i is the top
+      17 bits of the lane's integer (_lane_integer), and g is looked up in
+      a table of g at i / 2^17, built once per base function (every level
+      of the grid j / 2^17 for odd integer b and zero phases, levels 36-52
+      of random doubles for b = 2);
     - lane, where every reduced argument lies on 2^-63
       (max(p - v2(b_n), kt) <= 63): the uint64 lane rule of
       reduced_arguments on X (_lane_arguments), and one g.sample;

@@ -111,8 +111,9 @@ def test_boxdim_precondition_exit(runner, tmp_path):
     (["occ", "--samples", "30000", "--decay-target", "nan"], "decay target must be positive, got nan"),
     (["occ", "--samples", "30000", "--decay-target", "0"], "decay target must be positive, got 0.0"),
     (["occ", "--samples", "30000", "--decay-target", "-1"], "decay target must be positive, got -1.0"),
+    (["cover", "--resolution", "64", "--n-max", "-1"], "error: n_max must be >= 0, got -1"),
 ], ids=["energy-pairs", "energy-seeds", "boxdim-seeds", "occ-bins",
-        "occ-decay-nan", "occ-decay-0", "occ-decay-neg"])
+        "occ-decay-nan", "occ-decay-0", "occ-decay-neg", "cover-n-max-neg"])
 def test_scan_sizes_it_cannot_use_exit_3(runner, tmp_path, args, named):
     out = tmp_path / "out"   # no .csv: boxdim would reject it as the path of its counts CSV
     with warnings.catch_warnings(record=True) as caught:
@@ -308,6 +309,15 @@ def test_verify_all_quick_subset(runner, tmp_path):
     doc = json.loads(report.read_text())
     assert doc["passed"] is True
     assert [c["criterion"] for c in doc["criteria"]] == [3, 10]
+
+
+def test_verify_all_runs_a_repeated_criterion_once(runner, tmp_path):
+    report = tmp_path / "report.json"
+    result = runner.invoke(main, ["verify-all", "--profile", "quick",
+                                  "--criteria", "3,3", "--report", str(report)])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("PASS C3") == 1
+    assert [c["criterion"] for c in json.loads(report.read_text())["criteria"]] == [3]
 
 
 def test_verify_all_rejects_unknown_criterion(runner):

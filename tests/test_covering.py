@@ -845,6 +845,11 @@ def test_first_hit_rejects_a_non_positive_epsilon(eps):
         first_hit_sets(_spec_08_2(), eps, 3, 64)
 
 
+def test_intersection_sequence_rejects_a_negative_n_max():
+    with pytest.raises(ValueError, match=r"n_max must be >= 0, got -1"):
+        intersection_sequence(near_level_set(COS, 0.05, 64), _spec_08_2(), -1)
+
+
 @pytest.mark.parametrize("resolution", [0, 1])
 def test_first_hit_rejects_a_resolution_below_2(resolution):
     with pytest.raises(ValueError, match="resolution must be >= 2"):

@@ -732,9 +732,11 @@ def _lattice_xs(kind, p, rng):
 @example(freq=geometric(2.5), phases=[0.375, -5.5], g=COS_PLUS_HALF, kind="huge", p=3,
          threads=3, seed=2)
 def test_lattice_lookup_keeps_the_bits_of_the_reduction(freq, phases, g, kind, p, threads, seed):
-    # on every level whose reduced arguments lie on the table's lattice (a
-    # Fraction check), the table lookup must give the bits of g at the
-    # reduced arguments; negative, subnormal and +-1e308 x included
+    # a level is a table level exactly where its reduced arguments lie on
+    # the table's lattice and b_n x is not an integer (a Fraction check);
+    # on that lattice, constant levels included, the table lookup must give
+    # the bits of g at the reduced arguments; negative, subnormal and
+    # +-1e308 x included
     spec = build_spec(0.8, freq, phases=phases, g=g)
     xs = _lattice_xs(kind, p, np.random.default_rng(seed))
     bits, digits = fn_core._block_digits(xs)
@@ -745,12 +747,10 @@ def test_lattice_lookup_keeps_the_bits_of_the_reduction(freq, phases, g, kind, p
         b_n, theta_n = Fraction(freq.value(n)), Fraction(spec.phase(n))
         on = ((b_n * Fraction(2) ** (fn_core._TABLE_BITS - bits)).denominator == 1
               and (theta_n * 2 ** fn_core._TABLE_BITS).denominator == 1)
-        b_num, b_den = b_n.as_integer_ratio()
-        t_num, t_den = theta_n.as_integer_ratio()
-        step = fn_core._lattice_step((b_num, b_den.bit_length() - 1),
-                                     (t_num, t_den.bit_length() - 1), bits, fn_core._TABLE_BITS)
-        assert (step is not None) == on, n
+        integer = (b_n / Fraction(2) ** bits).denominator == 1
+        assert (fn_core._level_steps(spec, n, bits)[0] == "table") == (on and not integer), n
         if on:
+            step = fn_core._lattice_step(*fn_core._ratios(spec, n), bits)
             got = fn_core._lattice_g(g, digits, step)
             want = g.sample(fn_core.reduced_arguments(spec, n, xs))
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
@@ -762,6 +762,27 @@ def test_lattice_lookup_keeps_the_bits_of_the_reduction(freq, phases, g, kind, p
         got = evaluate_many(spec, draw, xs, order)
     want = oracles.evaluate_levels(spec, draw, xs, order)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_level_kinds_at_the_lattice_boundaries():
+    # on j / 4096 (p = 12) with b = 2, level n has e = 12 - n fraction
+    # digits and the lattice exponent max(e, kt): the phases 2^-17, 2^-18,
+    # 2^-63 and 2^-64 put levels 0-3 on either side of 17 and 63, levels
+    # 4-11 are table levels and levels 12 on are constant; every thread
+    # count keeps the bits of one reduction per level
+    spec = build_spec(0.8, geometric(2.0), phases=[2.0 ** -17, 2.0 ** -18, 2.0 ** -63, 2.0 ** -64])
+    xs = np.arange(-300, 4397) / 4096
+    bits, _ = fn_core._block_digits(xs)
+    assert bits == 12
+    kinds = [fn_core._level_steps(spec, n, bits)[0] for n in range(14)]
+    assert kinds == ["table", "lane", "lane", "general"] + ["table"] * 8 + ["constant"] * 2
+    draw = draw_coefficients(spec, 7, 14)
+    want = oracles.evaluate_levels(spec, draw, xs, 14)
+    for threads in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch, worker_threads(threads):
+            patch.setattr(fn_core, "_MIN_CHUNK", 4)
+            got = evaluate_many(spec, draw, xs, 14)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), threads
 
 
 @pytest.mark.parametrize("a, b, general", [(0.5, 3.0, 31), (0.8, 2.0, 5)])

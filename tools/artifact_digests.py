@@ -14,8 +14,12 @@ b = 2.5 with phases on the 2^-15 lattice, whose levels 0-9 look g up in
 its table, and a gen on the integer --b-seq 1,3,10,...,1000 with phases,
 whose levels 1-6 reduce on the uint64 lane split once per block, while
 level 0, whose phase 1e-30 has over 63 fraction digits, reduces in full,
-and a cover with PBMs on b = 3 at m = 1458 = 2 3^6, whose membership
-indices at levels 1-5 repeat every 486, 162, 54, 18 and 6 rows)
+a cover with PBMs on b = 3 at m = 1458 = 2 3^6, whose membership
+indices at levels 1-5 repeat every 486, 162, 54, 18 and 6 rows,
+and a JSON gen on j / 4096 for b = 2 with the phases 2^-17, 2^-18,
+2^-63 and 2^-64, whose levels 0-3 sit on either side of the table's
+lattice 2^-17 and the lane's 2^-63 (table, lane, lane, general), whose
+levels 4-11 look g up in its table and whose later levels are constant)
 into a temporary directory, then calls the writers only the library
 reaches (first-hit decompositions for zero-phase cos and phased cos2,
 both on b = 2, whose levels repeat every m / 2^n rows, and for b = 3 at
@@ -63,6 +67,7 @@ from wlab import cli, covering, fn_core, occupation
 
 B_SEQ = "1,2.5,6.25,16,40,100,250,625,1600,4000"
 PHASES = "0.1,0.25,0.4,0.7,0.05,0.9"
+BOUNDARY_PHASES = "7.62939453125e-06,3.814697265625e-06,1.0842021724855044e-19,5.421010862427522e-20"
 CONFIG = "# one gen run's defaults\npoints = 1000\nb = 3\nphases = 0.1,0.25,0.4\ng = cos2\n"
 
 RUNS = [
@@ -91,6 +96,8 @@ RUNS = [
     ["gen", "--b", "3", "--b-seq", "1,3,10,31,100,310,1000", "--phases", "1e-30,0.1,0.375",
      "--points", "1001", "--output", "gen_bseq_lane.csv"],
     ["cover", "--b", "3", "--resolution", "1458", "--n-max", "5", "--pbm", "--output", "cover_b3.csv"],
+    ["gen", "--points", "4097", "--b", "2", "--phases", BOUNDARY_PHASES, "--format", "json",
+     "--output", "gen_b2_boundary.json"],
     ["verify-all", "--profile", "desk", "--report", "verify.json"],
 ]
 
